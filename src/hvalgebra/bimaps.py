@@ -28,8 +28,8 @@ from .core import (
     center_basis,
     CENTRAL_KEYS,
 )
-from .errors import DomainNotCovered, InfeasibleWindow
-from .linalg import SolutionSpace, VarRegistry, nullspace
+from .errors import DomainNotCovered
+from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import CheckReport, Counterexample, Window, collect_report
 from .scalars import Scalar
 
@@ -370,36 +370,24 @@ def solve_biderivations(
                 registry.add(("f", p, q, u))
 
     var_of = registry.id_of
-    rows = []
-    seen = set()
+    system = LinearSystem(len(registry))
+    add = system.add
 
-    def emit(columns, near1, near2):
-        """Flush the per-coordinate rows of one identity instance.
+    def exact(near1, near2):
+        """Ungraded admission for one identity instance.
 
         ``near1``/``near2`` are the indices of the two window elements
-        multiplied against unknown values; in ungraded mode an output
-        coordinate w is only exact when |w - near| <= out_bound for both,
-        which excludes contamination from beyond-bound values.
+        multiplied against unknown values; an output coordinate w is only
+        exact when |w - near| <= out_bound for both, which excludes
+        contamination from beyond-bound values.
         """
-        for w in columns:
-            row = {vid: c for vid, c in columns[w].items() if c}
-            if not row:
-                continue
-            if degree is None and not w.is_central:
-                t = w.index
-                if abs(t) > out_bound:
-                    continue
-                if abs(t - near1) > out_bound or abs(t - near2) > out_bound:
-                    continue
-            norm = row[min(row)].inv()
-            frozen = tuple(sorted((vid, c * norm) for vid, c in row.items()))
-            if frozen not in seen:
-                seen.add(frozen)
-                rows.append(row)
-
-    def put(columns, w, vid, value):
-        col = columns.setdefault(w, {})
-        col[vid] = col.get(vid, Scalar(0)) + value
+        if degree is not None:
+            return None
+        return lambda w: w.is_central or (
+            abs(w.index) <= out_bound
+            and abs(w.index - near1) <= out_bound
+            and abs(w.index - near2) <= out_bound
+        )
 
     in_window = set(domain)
 
@@ -424,43 +412,38 @@ def solve_biderivations(
                 if xy_ok and pair_ok(iy + iz) and pair_ok(ix + iz):
                     nc = [kv for kv in prod_xy.items() if not kv[0].is_central]
                     if all(pair_ok(kv[0].index + iz) for kv in nc):
-                        columns = {}
                         for bt, c in nc:
                             for u in out_keys(bt.index + iz):
-                                put(columns, u, var_of(("f", bt, z, u)), c)
+                                add(u, var_of(("f", bt, z, u)), c)
                         for u in out_keys(iy + iz):
                             vid = var_of(("f", y, z, u))
                             for w, c in product.mul_keys(x, u).items():
-                                put(columns, w, vid, -c)
+                                add(w, vid, -c)
                         for u in out_keys(ix + iz):
                             vid = var_of(("f", x, z, u))
                             for w, c in product.mul_keys(u, y).items():
-                                put(columns, w, vid, -c)
-                        emit(columns, ix, iy)
+                                add(w, vid, -c)
+                        system.flush(exact(ix, iy))
 
                 # second-slot identity: f(x, y*z) = f(x,y)*z + y*f(x,z)
                 prod_yz = product.mul_keys(y, z)
                 if window_ok(prod_yz) and pair_ok(ix + iy) and pair_ok(ix + iz):
                     nc = [kv for kv in prod_yz.items() if not kv[0].is_central]
                     if all(pair_ok(ix + kv[0].index) for kv in nc):
-                        columns = {}
                         for bt, c in nc:
                             for u in out_keys(ix + bt.index):
-                                put(columns, u, var_of(("f", x, bt, u)), c)
+                                add(u, var_of(("f", x, bt, u)), c)
                         for u in out_keys(ix + iy):
                             vid = var_of(("f", x, y, u))
                             for w, c in product.mul_keys(u, z).items():
-                                put(columns, w, vid, -c)
+                                add(w, vid, -c)
                         for u in out_keys(ix + iz):
                             vid = var_of(("f", x, z, u))
                             for w, c in product.mul_keys(y, u).items():
-                                put(columns, w, vid, -c)
-                        emit(columns, iz, iy)
+                                add(w, vid, -c)
+                        system.flush(exact(iz, iy))
 
-    if not rows:
-        raise InfeasibleWindow("no admissible constraint rows on this window")
-
-    basis = nullspace(rows, len(registry))
+    basis = system.nullspace()
     meta = {
         "kind": "biderivation",
         "product": product,

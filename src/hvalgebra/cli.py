@@ -133,13 +133,7 @@ def _cmd_solve_biderivations(args) -> int:
 def _cmd_solve_commuting(args) -> int:
     space = solve_commuting(Window(args.window), jobs=args.jobs)
     if args.interior is not None:
-        n_int = args.interior
-
-        def keep(vid):
-            b = space.registry.label_of(vid)[1]
-            return not b.is_central and abs(b.index) <= n_int
-
-        space = space.restrict(keep)
+        space = interior_projection(space, args.interior)
     _header(args)
     print(render_solution_space(space, args.format))
     return 0
@@ -177,12 +171,20 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _add_common(parser, window=True):
     if window:
         parser.add_argument("--window", type=int, required=True, metavar="N",
                             help="check/solve on basis indices |n| <= N")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads (output is identical for any value)")
+    parser.add_argument("--jobs", type=positive_int, default=1,
+                        help="worker threads, at least 1 (output is identical "
+                        "for any value)")
     parser.add_argument("--format", choices=("text", "machine"), default="text")
 
 

@@ -17,8 +17,7 @@ from .core import (
     bracket_keys,
     center_basis,
 )
-from .errors import InfeasibleWindow
-from .linalg import SolutionSpace, VarRegistry, nullspace
+from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import (
     CentralMap,
     CheckReport,
@@ -80,12 +79,10 @@ def solve_commuting(window: Window, jobs: int = 1) -> SolutionSpace:
         for u in out_keys:
             registry.add(("phi", b, u))
     var_of = registry.id_of
+    system = LinearSystem(len(registry))
 
-    rows = []
-    seen = set()
     for i, bi in enumerate(domain):
         for bj in domain[i:]:
-            columns = {}
             for b_arg, b_other in ((bi, bj), (bj, bi)):
                 for u in out_keys:
                     base = bracket_keys(AlgebraKind.HV, u, b_other)
@@ -93,31 +90,14 @@ def solve_commuting(window: Window, jobs: int = 1) -> SolutionSpace:
                         continue
                     vid = var_of(("phi", b_arg, u))
                     for w, c in base.items():
-                        col = columns.setdefault(w, {})
-                        col[vid] = col.get(vid, Scalar(0)) + c
-            for w, col in columns.items():
-                row = {vid: c for vid, c in col.items() if c}
-                if not row:
-                    continue
-                if not w.is_central:
-                    ok = True
-                    for other in (bi, bj):
-                        if other.is_central:
-                            continue
-                        if abs(w.index - other.index) > out_bound:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                norm = row[min(row)].inv()
-                frozen = tuple(sorted((vid, c * norm) for vid, c in row.items()))
-                if frozen not in seen:
-                    seen.add(frozen)
-                    rows.append(row)
+                        system.add(w, vid, c)
+            near = [b.index for b in (bi, bj) if not b.is_central]
+            system.flush(
+                lambda w: w.is_central
+                or all(abs(w.index - t) <= out_bound for t in near)
+            )
 
-    if not rows:
-        raise InfeasibleWindow("no admissible constraint rows on this window")
-    basis = nullspace(rows, len(registry))
+    basis = system.nullspace()
     meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}
     return SolutionSpace(registry, basis, meta=meta, canonical=True)
 

@@ -10,9 +10,9 @@ Fraction arithmetic keeps entries gcd-reduced throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import IncompatibleSpaces
+from .errors import IncompatibleSpaces, InfeasibleWindow
 from .scalars import Scalar
 
 
@@ -141,23 +141,6 @@ def nullspace(rows, ncols: int) -> list:
     return rref(vectors)
 
 
-@dataclass
-class SparseMatrix:
-    """A bag of sparse rows over a fixed number of columns."""
-
-    rows: list
-    ncols: int
-
-    def rref(self) -> "SparseMatrix":
-        return SparseMatrix(rref(self.rows), self.ncols)
-
-    def rank(self) -> int:
-        return rank(self.rows)
-
-    def nullspace(self) -> list:
-        return nullspace(self.rows, self.ncols)
-
-
 def solve_affine(rows, nvars: int):
     """Solve an inhomogeneous sparse system exactly.
 
@@ -183,6 +166,58 @@ def solve_affine(rows, nvars: int):
         if c is not None:
             solution[lead] = -c
     return solution
+
+
+class LinearSystem:
+    """The constraint rows of one windowed solve over ``ncols`` unknowns.
+
+    Each identity instance adds its terms with ``add`` (one sparse row per
+    output coordinate), then ``flush`` turns those coordinates into rows.
+    A row is kept when it is nonzero, when the solver's ``admit(coord)``
+    holds (no predicate admits all), and when no scalar multiple of it was
+    kept before; the first occurrence stays.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows = []
+        self._seen = set()
+        self._coords = {}
+
+    def add(self, coord, col: int, value: Scalar) -> None:
+        entries = self._coords.setdefault(coord, {})
+        merged = entries.get(col)
+        if merged is not None:
+            value = merged + value
+        if value:
+            entries[col] = value
+        else:
+            entries.pop(col, None)
+
+    def flush(self, admit=None) -> None:
+        for coord, row in self._coords.items():
+            if not row or (admit is not None and not admit(coord)):
+                continue
+            norm = row[min(row)].inv()
+            frozen = tuple(sorted((c, v * norm) for c, v in row.items()))
+            if frozen not in self._seen:
+                self._seen.add(frozen)
+                self.rows.append(row)
+        self._coords = {}
+
+    def nullspace(self) -> list:
+        """Canonical basis of the homogeneous system's solutions."""
+        if not self.rows:
+            raise InfeasibleWindow("no admissible constraint rows on this window")
+        return nullspace(self.rows, self.ncols)
+
+    def solve_affine(self):
+        """Particular solution (or None) of the inhomogeneous system whose
+        constant terms sit in column ``ncols``: each row states
+        sum(row[c] * x[c]) + row[ncols] = 0.  That column is solve_affine's
+        own sentinel, so the rows pass through with a zero right-hand side.
+        """
+        return solve_affine([(row, 0) for row in self.rows], self.ncols)
 
 
 class SolutionSpace:

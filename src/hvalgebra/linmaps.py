@@ -29,7 +29,7 @@ from .core import (
     center_basis,
 )
 from .errors import DomainNotCovered, NotCentral
-from .linalg import solve_affine
+from .linalg import LinearSystem
 from .parallel import run_ordered
 from .scalars import Scalar
 
@@ -338,30 +338,22 @@ def decompose_derivation(d: LinearMap, window: Window):
         if not d.covers(key):
             raise DomainNotCovered(key)
 
-    rows = []
+    # Per output coordinate: ad(x)(b0) + sum of c*d(b0) - d(b0) = 0, with
+    # the constant term in the column past the last unknown.
+    const = len(labels)
+    system = LinearSystem(const)
     for b0 in interior:
-        columns = {}
-
-        def put(w, vid, value):
-            col = columns.setdefault(w, {})
-            merged = col.get(vid)
-            merged = value if merged is None else merged + value
-            if merged:
-                col[vid] = merged
-            else:
-                col.pop(vid, None)
-
         for xk in x_keys:
             for w, value in bracket_keys(kind, xk, b0).items():
-                put(w, ids[("x", xk)], value)
+                system.add(w, ids[("x", xk)], value)
         for tag, mp in outer.items():
             for w, value in mp.apply_key(b0).items():
-                put(w, ids[("coef", tag)], value)
-        rhs = d.apply_key(b0)
-        for w in sorted(set(columns) | set(rhs.support())):
-            rows.append((columns.get(w, {}), rhs[w]))
+                system.add(w, ids[("coef", tag)], value)
+        for w, value in d.apply_key(b0).items():
+            system.add(w, const, -value)
+        system.flush()
 
-    solution = solve_affine(rows, len(labels))
+    solution = system.solve_affine()
     if solution is None:
         return None
     inner = Element(

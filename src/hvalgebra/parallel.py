@@ -7,12 +7,17 @@ makes every report identical regardless of the ``jobs`` setting.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 
 def run_ordered(worker, items, jobs: int = 1) -> list:
-    """Apply ``worker`` to every item, preserving input order exactly."""
+    """Apply ``worker`` to every item, preserving input order exactly.
+
+    At most ``os.cpu_count()`` worker threads are started, whatever ``jobs``.
+    """
     items = list(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(items) < 2:
         return [worker(item) for item in items]
     chunk_count = max(jobs * 4, 1)

@@ -132,6 +132,23 @@ def test_solve_validates_bounds(capsys):
     assert "twice the window radius" in err
 
 
+def test_solve_commuting_validates_the_interior(capsys):
+    code, out, err = run(
+        capsys, "solve", "commuting", "--window", "3", "--interior", "5"
+    )
+    assert code == 2 and out == ""
+    assert "interior radius must stay below the window radius" in err
+
+
+def test_jobs_must_be_positive(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run(
+            capsys, "solve", "commuting", "--window", "2", "--jobs", jobs
+        )
+        assert code == 2
+        assert "--jobs: must be at least 1" in err
+
+
 def test_report_leftsym_always_succeeds(capsys):
     code, out, _ = run(
         capsys, "report", "leftsym", "--epsilon", "(1+1i)", "--window", "2"

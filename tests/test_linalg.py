@@ -4,10 +4,14 @@ import random
 
 import pytest
 
-from hvalgebra.errors import IncompatibleSpaces
+from hvalgebra import linalg
+from hvalgebra.bimaps import solve_biderivations
+from hvalgebra.commuting import solve_commuting
+from hvalgebra.core import LIE_W00
+from hvalgebra.errors import IncompatibleSpaces, InfeasibleWindow
 from hvalgebra.linalg import (
+    LinearSystem,
     SolutionSpace,
-    SparseMatrix,
     VarRegistry,
     nullspace,
     rank,
@@ -15,6 +19,7 @@ from hvalgebra.linalg import (
     solve_affine,
     span_equal,
 )
+from hvalgebra.linmaps import Window
 from hvalgebra.scalars import Scalar
 
 
@@ -86,13 +91,6 @@ def test_rank_nullity_on_random_sparse_matrices():
         assert rref(basis) == basis
 
 
-def test_sparse_matrix_wrapper():
-    m = SparseMatrix(S([{0: 1, 1: 1}]), 3)
-    assert m.rank() == 1
-    assert len(m.nullspace()) == 2
-    assert m.rref().rows == S([{0: 1, 1: 1}])
-
-
 def test_solve_affine():
     # x + y = 3, y = 1  ->  x = 2 with no free variables involved
     rows = [({0: Scalar(1), 1: Scalar(1)}, 3), ({1: Scalar(1)}, 1)]
@@ -145,3 +143,89 @@ def test_solution_space_reduce_and_restrict():
     projected = space.restrict(lambda vid: vid < 2)
     assert projected.dimension == 2
     assert projected.contains({0: Scalar(1)})
+
+
+def _flush(system, rows, admit=None):
+    for coord, row in rows.items():
+        for col, value in row.items():
+            system.add(coord, col, Scalar.coerce(value))
+    system.flush(admit)
+
+
+def test_linear_system_keeps_one_row_per_scalar_multiple():
+    system = LinearSystem(3)
+    _flush(system, {"a": {0: 2, 2: 4}, "b": {0: -1, 2: -2}})
+    i = Scalar(0, 1)
+    _flush(system, {"c": {0: 2 * i, 2: 4 * i}, "d": {1: 1}})
+    # the first occurrence is kept, unnormalised
+    assert system.rows == S([{0: 2, 2: 4}, {1: 1}])
+
+
+def test_linear_system_drops_terms_that_cancel():
+    system = LinearSystem(3)
+    system.add("a", 0, Scalar(1))
+    system.add("a", 1, Scalar(1, 1))
+    system.add("a", 0, Scalar(-1))
+    system.add("a", 1, Scalar(-1, -1))
+    system.add("b", 2, Scalar(0, 3))
+    system.add("b", 1, Scalar(2))
+    system.add("b", 2, Scalar(0, -3))
+    system.flush()
+    assert system.rows == S([{1: 2}])
+
+
+def test_linear_system_applies_the_admission_predicate():
+    system = LinearSystem(2)
+    _flush(system, {1: {0: 1}, 5: {1: 1}}, admit=lambda coord: coord < 3)
+    assert system.rows == S([{0: 1}])
+    # the predicate applies to one flush only
+    _flush(system, {5: {1: 1}})
+    assert system.rows == S([{0: 1}, {1: 1}])
+
+
+def test_linear_system_raises_when_nothing_is_admitted():
+    system = LinearSystem(2)
+    _flush(system, {1: {0: 1}}, admit=lambda coord: False)
+    assert system.rows == []
+    with pytest.raises(InfeasibleWindow):
+        system.nullspace()
+
+
+def test_linear_system_affine_solve():
+    # x + y = 3, y = 1, with the constant term in column ncols = 2
+    system = LinearSystem(2)
+    _flush(system, {"a": {0: 1, 1: 1, 2: -3}, "b": {1: 1, 2: -1}})
+    assert system.solve_affine() == {0: Scalar(2), 1: Scalar(1)}
+    # x = 1 and x = 2 together are inconsistent
+    system = LinearSystem(1)
+    _flush(system, {"a": {0: 1, 1: -1}, "b": {0: 1, 1: -2}})
+    assert system.solve_affine() is None
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_biderivations(LIE_W00, Window(2), 4, degree=0),
+        lambda: solve_biderivations(LIE_W00, Window(2), 4),
+        lambda: solve_commuting(Window(2)),
+    ],
+    ids=["graded", "ungraded", "commuting"],
+)
+def test_solver_bases_annihilate_every_admitted_row(solve, monkeypatch):
+    captured = []
+    original = linalg.nullspace
+
+    def capture(rows, ncols):
+        captured.append(list(rows))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", capture)
+    space = solve()
+    (rows,) = captured
+    assert rows and space.dimension
+    for vec in space.basis:
+        for row in rows:
+            total = sum(
+                (v * vec[c] for c, v in row.items() if c in vec), Scalar(0)
+            )
+            assert not total
