@@ -195,20 +195,20 @@ class SumBilinear(BilinearMap):
         return " + ".join(str(p) for p in self.parts)
 
 
-def is_biderivation(f: BilinearMap, product: Product, window: Window, jobs: int = 1) -> CheckReport:
+def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckReport:
     """Exhaustive check of both biderivation identities on the window.
 
     Instances that need a bilinear-map value the map does not cover
     (tabular domain or output-bound gaps) are counted as skipped.
     """
     keys = product.window_keys(window.n_max)
-    instances = [
+    instances = (
         (x, y, z, eq)
         for x in keys
         for y in keys
         for z in keys
         for eq in ("first-slot", "second-slot")
-    ]
+    )
 
     def check(instance):
         x, y, z, eq = instance
@@ -239,7 +239,7 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window, jobs: int 
             return ()
         return (Counterexample((x, y, z), eq, residual),)
 
-    return collect_report(check, instances, jobs)
+    return collect_report(check, instances)
 
 
 def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> str:
@@ -268,13 +268,13 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
     return "symmetric" if symmetric else "skew"
 
 
-def central_annihilation(f: BilinearMap, product: Product, window: Window, jobs: int = 1) -> CheckReport:
+def central_annihilation(f: BilinearMap, product: Product, window: Window) -> CheckReport:
     """Check that f vanishes against the center in both argument slots."""
     if not product.is_lie:
         raise ValueError("central annihilation is defined for the Lie kinds")
     keys = product.window_keys(window.n_max)
     centers = center_basis(product.kind)
-    instances = [(b, c) for b in keys for c in centers]
+    instances = ((b, c) for b in keys for c in centers)
 
     def check(instance):
         b, c = instance
@@ -290,7 +290,7 @@ def central_annihilation(f: BilinearMap, product: Product, window: Window, jobs:
             bad.append(Counterexample((b, c.support()[0]), "center-right", right))
         return tuple(bad)
 
-    return collect_report(check, instances, jobs)
+    return collect_report(check, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,6 @@ def solve_biderivations(
     window: Window,
     out_bound: int,
     degree=None,
-    jobs: int = 1,
 ) -> SolutionSpace:
     """Canonical nullspace of the windowed biderivation equations.
 
@@ -459,9 +458,12 @@ def interior_projection(space: SolutionSpace, n_int: int) -> SolutionSpace:
 
     A variable label's argument keys (everything between the tag and the
     output key) must all be noncentral with index magnitude at most
-    ``n_int``.  The restriction is re-canonicalized, so boundary-only
-    freedom drops out of the dimension.
+    ``n_int``, which must be at least 0 and below the window radius.  The
+    restriction is re-canonicalized, so boundary-only freedom drops out
+    of the dimension.
     """
+    if n_int < 0:
+        raise ValueError("interior radius must be at least 0")
     n_max = space.meta.get("n_max")
     if n_max is not None and n_int > n_max - 1:
         raise ValueError("interior radius must stay below the window radius")

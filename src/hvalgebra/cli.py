@@ -3,7 +3,7 @@
 Exit codes: 0 = check passed / solve completed, 1 = check failed,
 2 = usage or parse error, 3 = a map was applied outside its recorded
 domain.  All report content goes to stdout and is byte-identical across
-runs (including under ``--jobs``); timing goes to stderr.
+runs; timing goes to stderr.  Every command runs serially.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _cmd_check_derivation(args) -> int:
     product = _product(args.product, args)
     kind = AlgebraKind.HV if product.has_central else AlgebraKind.W00
     m = parse_linear_map_file(_read(args.map), kind)
-    report = is_derivation(m, product, Window(args.window), jobs=args.jobs)
+    report = is_derivation(m, product, Window(args.window))
     return _finish_check(args, report)
 
 
@@ -91,7 +91,7 @@ def _cmd_check_biderivation(args) -> int:
     product = _product(args.product, args)
     f = parse_bilinear_map_file(_read(args.map))
     window = Window(args.window)
-    report = is_biderivation(f, product, window, jobs=args.jobs)
+    report = is_biderivation(f, product, window)
     _header(args)
     print(render_check_report(report, args.format))
     if args.format == "machine":
@@ -103,14 +103,14 @@ def _cmd_check_biderivation(args) -> int:
 
 def _cmd_check_commuting(args) -> int:
     phi = parse_linear_map_file(_read(args.map), AlgebraKind.HV)
-    report = is_commuting(phi, Window(args.window), jobs=args.jobs)
+    report = is_commuting(phi, Window(args.window))
     return _finish_check(args, report)
 
 
 def _cmd_check_postlie(args) -> int:
     text = args.product if args.product.lstrip().startswith("@") else _read(args.product)
     f = parse_bilinear_map_file(text)
-    report = is_commutative_postlie(f, Window(args.window), jobs=args.jobs)
+    report = is_commutative_postlie(f, Window(args.window))
     return _finish_check(args, report)
 
 
@@ -121,7 +121,6 @@ def _cmd_solve_biderivations(args) -> int:
         Window(args.window),
         args.outbound,
         degree=args.degree,
-        jobs=args.jobs,
     )
     if args.interior is not None:
         space = interior_projection(space, args.interior)
@@ -131,7 +130,7 @@ def _cmd_solve_biderivations(args) -> int:
 
 
 def _cmd_solve_commuting(args) -> int:
-    space = solve_commuting(Window(args.window), jobs=args.jobs)
+    space = solve_commuting(Window(args.window))
     if args.interior is not None:
         space = interior_projection(space, args.interior)
     _header(args)
@@ -143,8 +142,8 @@ def _cmd_report_leftsym(args) -> int:
     params = _ls_params(args)
     window = Window(args.window)
     _header(args)
-    identity = is_left_symmetric(params, window, strata="noncentral", jobs=args.jobs)
-    full = is_left_symmetric(params, window, strata="all", jobs=args.jobs)
+    identity = is_left_symmetric(params, window, strata="noncentral")
+    full = is_left_symmetric(params, window, strata="all")
     if args.format == "machine":
         print(f"identity-noncentral={'pass' if identity.passed else 'fail'}")
         print(f"identity-all-strata={'pass' if full.passed else 'fail'}")
@@ -183,8 +182,8 @@ def _add_common(parser, window=True):
         parser.add_argument("--window", type=int, required=True, metavar="N",
                             help="check/solve on basis indices |n| <= N")
     parser.add_argument("--jobs", type=positive_int, default=1,
-                        help="worker threads, at least 1 (output is identical "
-                        "for any value)")
+                        help="accepted for compatibility and changes nothing "
+                        "(work runs serially); at least 1")
     parser.add_argument("--format", choices=("text", "machine"), default="text")
 
 

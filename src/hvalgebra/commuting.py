@@ -36,10 +36,10 @@ def make_commuting(coeff, table=None) -> LinearMap:
     return SumMap((ScalarId(coeff), CentralMap(table or {})))
 
 
-def is_commuting(phi: LinearMap, window: Window, jobs: int = 1) -> CheckReport:
+def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     """Exhaustive polarized check over unordered window pairs."""
     keys = LIE_HV.window_keys(window.n_max)
-    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+    pairs = ((a, b) for i, a in enumerate(keys) for b in keys[i:])
 
     def check(pair):
         a, b = pair
@@ -53,7 +53,7 @@ def is_commuting(phi: LinearMap, window: Window, jobs: int = 1) -> CheckReport:
             return ()
         return (Counterexample((a, b), "polarized", residual),)
 
-    return collect_report(check, pairs, jobs)
+    return collect_report(check, pairs)
 
 
 def _render_phi_label(label):
@@ -61,7 +61,7 @@ def _render_phi_label(label):
     return f"phi({b}) : {u}"
 
 
-def solve_commuting(window: Window, jobs: int = 1) -> SolutionSpace:
+def solve_commuting(window: Window) -> SolutionSpace:
     """Canonical nullspace of the windowed polarized equations.
 
     Unknowns are the coefficients of phi(b) over output keys with index

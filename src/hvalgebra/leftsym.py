@@ -136,9 +136,7 @@ def ls_quotient_product(params: LeftSymParams, x: Element, y: Element) -> Elemen
     return LeftSymProduct(params, quotient=True).mul(x, y)
 
 
-def is_left_symmetric(
-    params: LeftSymParams, window: Window, strata: str = "all", jobs: int = 1
-) -> CheckReport:
+def is_left_symmetric(params: LeftSymParams, window: Window, strata: str = "all") -> CheckReport:
     """Associator-symmetry check (x*y)*z - x*(y*z) = (y*x)*z - y*(x*z).
 
     With ``strata="noncentral"`` the residual is projected away from the
@@ -150,7 +148,7 @@ def is_left_symmetric(
         raise ValueError("strata must be 'all' or 'noncentral'")
     product = LeftSymProduct(params)
     keys = product.window_keys(window.n_max)
-    triples = [(x, y, z) for x in keys for y in keys for z in keys]
+    triples = ((x, y, z) for x in keys for y in keys for z in keys)
 
     def check(triple):
         x, y, z = triple
@@ -167,7 +165,7 @@ def is_left_symmetric(
             return ()
         return (Counterexample((x, y, z), "left-symmetric", residual),)
 
-    return collect_report(check, triples, jobs)
+    return collect_report(check, triples)
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ def subadjacent_residual(params: LeftSymParams, window: Window):
 
 
 def check_derivation_inheritance(
-    d: LinearMap, params: LeftSymParams, window: Window, jobs: int = 1
+    d: LinearMap, params: LeftSymParams, window: Window
 ) -> CheckReport:
     """A derivation of the left-symmetric product must also derive its
     commutator; this checks the conclusion directly."""
@@ -228,7 +226,7 @@ def check_derivation_inheritance(
         def mul_keys(self, a, b):
             return self.base.commutator_keys(a, b)
 
-    return is_derivation(d, _Commutator(LeftSymProduct(params)), window, jobs=jobs)
+    return is_derivation(d, _Commutator(LeftSymProduct(params)), window)
 
 
 def quotient_biderivation_space(

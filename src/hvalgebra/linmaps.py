@@ -84,16 +84,17 @@ class CheckReport:
         )
 
 
-def collect_report(worker, items, jobs: int = 1) -> CheckReport:
+def collect_report(worker, items) -> CheckReport:
     """Run a per-item verdict function and fold the results into a report.
 
     ``worker`` returns None to skip, an empty tuple to count a plain pass,
-    or a tuple of Counterexamples.
+    or a tuple of Counterexamples.  ``items`` is consumed once, in order,
+    so a checker can stream its instances from a generator.
     """
     checked = 0
     skipped = 0
     counterexamples = []
-    for verdict in run_ordered(worker, items, jobs):
+    for verdict in run_ordered(worker, items):
         if verdict is None:
             skipped += 1
         else:
@@ -262,14 +263,14 @@ def tabulate(m: LinearMap, keys) -> TabularMap:
     return TabularMap({k: m.apply_key(k) for k in keys}, domain=keys)
 
 
-def is_derivation(m: LinearMap, product: Product, window: Window, jobs: int = 1) -> CheckReport:
+def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport:
     """Exhaustive Leibniz check of ``m`` against ``product`` on the window.
 
     Pairs whose product support (or arguments) escape a tabular map's
     domain are counted as skipped, never as failures.
     """
     keys = product.window_keys(window.n_max)
-    pairs = [(a, b) for a in keys for b in keys]
+    pairs = ((a, b) for a in keys for b in keys)
 
     def check(pair):
         a, b = pair
@@ -285,7 +286,7 @@ def is_derivation(m: LinearMap, product: Product, window: Window, jobs: int = 1)
             return ()
         return (Counterexample((a, b), "leibniz", residual),)
 
-    return collect_report(check, pairs, jobs)
+    return collect_report(check, pairs)
 
 
 @dataclass(frozen=True)

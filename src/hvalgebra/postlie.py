@@ -21,19 +21,20 @@ from .errors import DomainNotCovered
 from .linmaps import CheckReport, Counterexample, Window, collect_report
 
 
-def is_commutative_postlie(f: BilinearMap, window: Window, jobs: int = 1) -> CheckReport:
+def is_commutative_postlie(f: BilinearMap, window: Window) -> CheckReport:
     """Exhaustive check of all three identities over the window."""
     product = LIE_HV
     keys = product.window_keys(window.n_max)
-    instances = []
-    for i, x in enumerate(keys):
-        for y in keys[i + 1 :]:
-            instances.append((x, y, None, "commutative"))
-    for x in keys:
-        for y in keys:
-            for z in keys:
-                instances.append((x, y, z, "lie-action"))
-                instances.append((x, y, z, "bracket-derivation"))
+
+    def instances():
+        for i, x in enumerate(keys):
+            for y in keys[i + 1 :]:
+                yield (x, y, None, "commutative")
+        for x in keys:
+            for y in keys:
+                for z in keys:
+                    yield (x, y, z, "lie-action")
+                    yield (x, y, z, "bracket-derivation")
 
     def check(instance):
         x, y, z, tag = instance
@@ -64,7 +65,7 @@ def is_commutative_postlie(f: BilinearMap, window: Window, jobs: int = 1) -> Che
             return ()
         return (Counterexample(inputs, tag, residual),)
 
-    return collect_report(check, instances, jobs)
+    return collect_report(check, instances())
 
 
 def postlie_residual(omega: Omega) -> Element:

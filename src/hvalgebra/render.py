@@ -1,7 +1,7 @@
 """Deterministic text renderings of reports and solution spaces.
 
-Everything here is a pure function of its input, so repeated runs (and
-runs with different ``--jobs`` settings) produce byte-identical output.
+Everything here is a pure function of its input, so repeated runs
+produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """The command-line surface, driven in-process through main(argv)."""
 
+import threading
+
 import pytest
 
 from hvalgebra.cli import main
@@ -138,6 +140,32 @@ def test_solve_commuting_validates_the_interior(capsys):
     )
     assert code == 2 and out == ""
     assert "interior radius must stay below the window radius" in err
+
+
+def test_solves_reject_a_negative_interior(capsys):
+    graded = ("solve", "biderivations", "--algebra", "lie-w00", "--window", "2",
+              "--outbound", "4", "--degree", "0")
+    for argv in (("solve", "commuting", "--window", "2"), graded):
+        code, out, err = run(capsys, *argv, "--interior", "-1")
+        assert code == 2 and out == ""
+        assert "interior radius must be at least 0" in err
+    code, out, _ = run(capsys, *graded, "--interior", "0")
+    assert code == 0
+    assert "dimension: 1" in out and "f(L(0),L(0))" in out
+
+
+def test_jobs_flag_starts_no_threads(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    deriv = tmp_path / "outer.map"
+    deriv.write_text("@d3 1\n")
+    code, out, _ = run(
+        capsys, "check", "derivation", "--map", str(deriv),
+        "--product", "lie-w00", "--window", "2", "--jobs", "2",
+    )
+    assert code == 0 and "status: pass" in out
 
 
 def test_jobs_must_be_positive(capsys):
