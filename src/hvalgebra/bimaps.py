@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import DomainNotCovered
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
-from .linmaps import CheckReport, Counterexample, Window, collect_report
+from .linmaps import CheckReport, Counterexample, Window, collect_report, leibniz_residual
 from .scalars import Scalar
 
 
@@ -81,9 +81,6 @@ class BilinearMap:
 
     def covers(self, a: BasisKey, b: BasisKey) -> bool:
         return True
-
-    def covers_pairs(self, xs, ys) -> bool:
-        return all(self.covers(a, b) for a in xs for b in ys)
 
     def eval(self, product: Product, x: Element, y: Element) -> Element:
         out = Element.zero()
@@ -213,28 +210,13 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     def check(instance):
         x, y, z, eq = instance
         if eq == "first-slot":
-            prod = product.mul_keys(x, y)
-            pairs = [(bt, z) for bt in prod.support()] + [(y, z), (x, z)]
-            if not all(f.covers(a, b) for a, b in pairs):
-                return None
-            lhs = Element.zero()
-            for bt, c in prod.items():
-                lhs = lhs + f.eval_keys(product, bt, z).scaled(c)
-            rhs = product.mul(Element.basis(x), f.eval_keys(product, y, z)) + product.mul(
-                f.eval_keys(product, x, z), Element.basis(y)
+            residual = leibniz_residual(
+                product, lambda k: f.eval_keys(product, k, z), x, y
             )
         else:
-            prod = product.mul_keys(y, z)
-            pairs = [(x, bt) for bt in prod.support()] + [(x, y), (x, z)]
-            if not all(f.covers(a, b) for a, b in pairs):
-                return None
-            lhs = Element.zero()
-            for bt, c in prod.items():
-                lhs = lhs + f.eval_keys(product, x, bt).scaled(c)
-            rhs = product.mul(f.eval_keys(product, x, y), Element.basis(z)) + product.mul(
-                Element.basis(y), f.eval_keys(product, x, z)
+            residual = leibniz_residual(
+                product, lambda k: f.eval_keys(product, x, k), y, z
             )
-        residual = lhs - rhs
         if residual.is_zero():
             return ()
         return (Counterexample((x, y, z), eq, residual),)
@@ -255,10 +237,11 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
     skew = True
     for a in keys:
         for b in keys:
-            if not (f.covers(a, b) and f.covers(b, a)):
+            try:
+                s = f.eval_keys(product, a, b)
+                t = f.eval_keys(product, b, a)
+            except DomainNotCovered:
                 continue
-            s = f.eval_keys(product, a, b)
-            t = f.eval_keys(product, b, a)
             if s != t:
                 symmetric = False
             if s != -t:
@@ -279,8 +262,6 @@ def central_annihilation(f: BilinearMap, product: Product, window: Window) -> Ch
     def check(instance):
         b, c = instance
         belt = Element.basis(b)
-        if not all(f.covers(b, ck) and f.covers(ck, b) for ck in c.support()):
-            return None
         bad = []
         left = f.eval(product, c, belt)
         if left:
@@ -390,57 +371,45 @@ def solve_biderivations(
 
     in_window = set(domain)
 
-    def window_ok(prod: Element) -> bool:
-        return all(k.is_central or k in in_window for k in prod.support())
+    def leibniz(a, b, c, var):
+        """Rows of g(a*b, c) = a*g(b, c) + g(a, c)*b, where var(p, q, u)
+        is the unknown of g(p, q) at output u.  The instance is dropped
+        when a*b leaves the window or some value it needs has no unknowns.
+        """
+        prod = product.mul_keys(a, b)
+        if not all(k.is_central or k in in_window for k in prod.support()):
+            return
+        ia, ib, ic = a.index, b.index, c.index
+        nc = [kv for kv in prod.items() if not kv[0].is_central]
+        sums = [bt.index + ic for bt, _ in nc] + [ib + ic, ia + ic]
+        if not all(out_keys(s) for s in sums):
+            return
+        for bt, coeff in nc:
+            for u in out_keys(bt.index + ic):
+                add(u, var(bt, c, u), coeff)
+        for u in out_keys(ib + ic):
+            vid = var(b, c, u)
+            for w, coeff in product.mul_keys(a, u).items():
+                add(w, vid, -coeff)
+        for u in out_keys(ia + ic):
+            vid = var(a, c, u)
+            for w, coeff in product.mul_keys(u, b).items():
+                add(w, vid, -coeff)
+        system.flush(exact(ia, ib))
 
-    def pair_ok(s: int) -> bool:
-        return degree is None or abs(s + degree) <= out_bound or (
-            product.has_central and s + degree == 0
-        )
+    def f(p, q, u):
+        return var_of(("f", p, q, u))
 
+    def f_transposed(p, q, u):
+        return var_of(("f", q, p, u))
+
+    # The second-slot identity of f at (x, y, z) is the first-slot
+    # identity of its transpose at (y, z, x).
     for x in domain:
-        ix = x.index
         for y in domain:
-            iy = y.index
-            prod_xy = product.mul_keys(x, y)
-            xy_ok = window_ok(prod_xy)
             for z in domain:
-                iz = z.index
-
-                # first-slot identity: f(x*y, z) = x*f(y,z) + f(x,z)*y
-                if xy_ok and pair_ok(iy + iz) and pair_ok(ix + iz):
-                    nc = [kv for kv in prod_xy.items() if not kv[0].is_central]
-                    if all(pair_ok(kv[0].index + iz) for kv in nc):
-                        for bt, c in nc:
-                            for u in out_keys(bt.index + iz):
-                                add(u, var_of(("f", bt, z, u)), c)
-                        for u in out_keys(iy + iz):
-                            vid = var_of(("f", y, z, u))
-                            for w, c in product.mul_keys(x, u).items():
-                                add(w, vid, -c)
-                        for u in out_keys(ix + iz):
-                            vid = var_of(("f", x, z, u))
-                            for w, c in product.mul_keys(u, y).items():
-                                add(w, vid, -c)
-                        system.flush(exact(ix, iy))
-
-                # second-slot identity: f(x, y*z) = f(x,y)*z + y*f(x,z)
-                prod_yz = product.mul_keys(y, z)
-                if window_ok(prod_yz) and pair_ok(ix + iy) and pair_ok(ix + iz):
-                    nc = [kv for kv in prod_yz.items() if not kv[0].is_central]
-                    if all(pair_ok(ix + kv[0].index) for kv in nc):
-                        for bt, c in nc:
-                            for u in out_keys(ix + bt.index):
-                                add(u, var_of(("f", x, bt, u)), c)
-                        for u in out_keys(ix + iy):
-                            vid = var_of(("f", x, y, u))
-                            for w, c in product.mul_keys(u, z).items():
-                                add(w, vid, -c)
-                        for u in out_keys(ix + iz):
-                            vid = var_of(("f", x, z, u))
-                            for w, c in product.mul_keys(y, u).items():
-                                add(w, vid, -c)
-                        system.flush(exact(iz, iy))
+                leibniz(x, y, z, f)
+                leibniz(y, z, x, f_transposed)
 
     basis = system.nullspace()
     meta = {

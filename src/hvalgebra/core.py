@@ -48,11 +48,6 @@ class BasisKey:
     def is_central(self) -> bool:
         return self.family == "C"
 
-    @property
-    def degree(self) -> int:
-        """Grading degree: the index for L/I symbols, zero for centrals."""
-        return 0 if self.family == "C" else self.index
-
     def __eq__(self, other):
         return isinstance(other, BasisKey) and self._sort == other._sort
 

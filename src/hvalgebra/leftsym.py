@@ -132,10 +132,6 @@ def ls_product(params: LeftSymParams, x: Element, y: Element) -> Element:
     return LeftSymProduct(params).mul(x, y)
 
 
-def ls_quotient_product(params: LeftSymParams, x: Element, y: Element) -> Element:
-    return LeftSymProduct(params, quotient=True).mul(x, y)
-
-
 def is_left_symmetric(params: LeftSymParams, window: Window, strata: str = "all") -> CheckReport:
     """Associator-symmetry check (x*y)*z - x*(y*z) = (y*x)*z - y*(x*z).
 

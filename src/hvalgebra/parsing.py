@@ -261,8 +261,11 @@ class _Parser:
                 kind, text, at = self.next()
                 if kind != "int":
                     raise ParseError("expected an integer offset", at)
+                offset = sign * int(text)
+                if offset in table:
+                    raise ParseError(f"duplicate offset {offset}", at)
                 self.expect(":")
-                table[sign * int(text)] = self.scalar()
+                table[offset] = self.scalar()
                 if self.peek()[1] == ",":
                     self.next()
                     continue
@@ -344,6 +347,12 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+def _no_duplicate(table, key):
+    """A key (or key pair) may be given once; a second value is an error."""
+    if key in table:
+        raise ParseError(f"duplicate entry for {key}")
+
+
 def parse_linear_map_file(text: str, kind: AlgebraKind = AlgebraKind.HV) -> LinearMap:
     """Build a linear map from tabular lines and directives."""
     table = {}
@@ -367,6 +376,7 @@ def parse_linear_map_file(text: str, kind: AlgebraKind = AlgebraKind.HV) -> Line
                     if not arrow:
                         raise ParseError("expected 'KEY -> ELEMENT'")
                     key = parse_basis_key(key_text.strip())
+                    _no_duplicate(central, key)
                     central[key] = parse_element(value_text.strip())
                 else:
                     raise ParseError(f"unknown directive {directive!r}")
@@ -375,6 +385,7 @@ def parse_linear_map_file(text: str, kind: AlgebraKind = AlgebraKind.HV) -> Line
                 if not arrow:
                     raise ParseError("expected 'KEY -> ELEMENT'")
                 key = parse_basis_key(key_text.strip())
+                _no_duplicate(table, key)
                 value_text = value_text.strip()
                 value = Element.zero() if value_text == "0" else parse_element(value_text)
                 table[key] = value
@@ -418,6 +429,7 @@ def parse_bilinear_map_file(text: str) -> BilinearMap:
                 parser.expect(")")
                 if not parser.at_end():
                     parser.fail("unexpected trailing input")
+                _no_duplicate(table, (a, b))
                 value_text = value_text.strip()
                 value = Element.zero() if value_text == "0" else parse_element(value_text)
                 table[(a, b)] = value

@@ -42,6 +42,16 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_duplicate_map_entries_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.map"
+    path.write_text("L(1) -> I(1)\nL(1) -> I(2)\n")
+    code, _, err = run(
+        capsys, "check", "derivation", "--map", str(path), "--window", "2"
+    )
+    assert code == 2
+    assert "line 2: duplicate entry for L(1)" in err
+
+
 def test_usage_errors_exit_nonzero(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "check", "biderivation", "--window", "2")[0] == 2

@@ -4,8 +4,9 @@ single byte.
 Each command runs in-process through main(argv).  The two header lines
 (version and echoed command) are dropped, and the sha256 of the rest of
 stdout, final newline included, is compared with a recorded digest.  The
-checker entries fail on purpose, so their counterexample lists (and
-their order) are pinned too.
+first checker entries fail on purpose, so their counterexample lists (and
+their order) are pinned too.  The "skip-" entries check partial tables,
+so their exact checked and skipped counts are pinned as well.
 """
 
 import hashlib
@@ -22,6 +23,11 @@ MAPS = {
     "bider": "@romega { 0: 1 }\n@inner 2\n",
     "deriv": "@d2 1\n@inner L(1)\n",
     "comm": "@id 2\n@inner L(1)\n",
+    # partial tables, so the checks below skip instances they cannot evaluate
+    "tabbider": "(L(0), L(1)) -> 2*L(1)\n(L(1), L(0)) -> -2*L(1)\n"
+                "(L(-1), L(1)) -> L(0) + I(0)\n@inner 1\n",
+    "tabderiv": "L(0) -> 0\nL(1) -> I(1)\nI(1) -> 2*I(1)\n@d3 1\n",
+    "tabcomm": "L(0) -> 2*L(0) + C1\nI(0) -> 2*I(0)\n@central L(1) -> C2\n",
 }
 
 GOLDEN = [
@@ -83,6 +89,32 @@ GOLDEN = [
         "7899c7c97aca6dcfbc5e3511ff27103927543caaf34a7d87e3693fde559418ac",
         0,
     ),
+    (
+        # checked 54, skipped 1404, counterexamples 16; symmetry: neither
+        ("check", "biderivation", "--product", "lie-hv", "--window", "1",
+         "--map", "{tabbider}"),
+        "3cef6402b73354f54c9ae5969ebad5a5a2900aae19421b7f409f56e18155e1c8",
+        1,
+    ),
+    (
+        # checked 7, skipped 93
+        ("check", "derivation", "--product", "lie-w00", "--window", "2",
+         "--map", "{tabderiv}"),
+        "4e35dcd2c88bb1d7c1d5b8b301e3389931f872621f152df55ab91f10ff5cc3b2",
+        0,
+    ),
+    (
+        # checked 3, skipped 42
+        ("check", "commuting", "--window", "1", "--map", "{tabcomm}"),
+        "0d3974b33071543ebbf5ebc80e047f6ca48b8ef80b4b79938e765c045b6509ee",
+        0,
+    ),
+    (
+        # checked 52, skipped 1442, counterexamples 17
+        ("check", "postlie", "--product", "{tabbider}", "--window", "1"),
+        "432d83da99e86a3ab74ce707ae290b4093a71d68b6c06cec4223bb225cac37f2",
+        1,
+    ),
 ]
 
 
@@ -91,7 +123,8 @@ GOLDEN = [
     GOLDEN,
     ids=["graded", "ungraded", "interior", "commuting", "decompose",
          "check-biderivation", "check-postlie", "check-derivation",
-         "check-commuting", "report-leftsym"],
+         "check-commuting", "report-leftsym", "skip-biderivation",
+         "skip-derivation", "skip-commuting", "skip-postlie"],
 )
 def test_report_digest(argv, digest, code, tmp_path, capsys):
     paths = {}

@@ -26,6 +26,7 @@ from hvalgebra.linmaps import (
     SumMap,
     TabularMap,
     Window,
+    collect_report,
     decompose_derivation,
     is_derivation,
     tabulate,
@@ -186,3 +187,22 @@ def test_derivation_check_is_parallel_safe():
     report2 = is_derivation(D2, LIE_W00, Window(4))
     assert report1.passed and report2.passed
     assert report1.checked == report2.checked
+
+
+def test_collect_report_skips_only_uncovered_items():
+    def worker(n):
+        if n % 3 == 0:
+            raise DomainNotCovered(n)
+        return ()
+
+    report = collect_report(worker, range(10))
+    assert (report.checked, report.skipped) == (6, 4)
+    assert report.passed
+
+    def broken(n):
+        if n == 5:
+            raise ZeroDivisionError(n)
+        return ()
+
+    with pytest.raises(ZeroDivisionError):
+        collect_report(broken, range(10))

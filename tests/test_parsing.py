@@ -1,5 +1,6 @@
 """The text grammar: scalars, elements, expressions, omega tables, map files."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,24 @@ def test_bilinear_map_file():
     assert isinstance(inner, Inner)
     table = parse_bilinear_map_file("(I(1), I(-1)) -> C3")
     assert isinstance(table, TabularBilinear)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_linear_map_file, "L(1) -> I(1)\nL(1) -> I(2)\n",
+         "line 2: duplicate entry for L(1)"),
+        (parse_linear_map_file, "@central L(0) -> C1\n@central L(0) -> C2\n",
+         "line 2: duplicate entry for L(0)"),
+        (parse_bilinear_map_file, "(L(1), L(2)) -> I(3)\n(L(1), L(2)) -> I(4)\n",
+         "line 2: duplicate entry for (L(1), L(2))"),
+        (parse_omega, "{ 0: 1, 0: 2 }", "duplicate offset 0"),
+    ],
+    ids=["table", "central", "pair", "omega"],
+)
+def test_duplicate_entries_are_rejected(parse, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text)
 
 
 def test_bilinear_map_file_errors():
