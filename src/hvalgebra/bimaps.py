@@ -16,6 +16,8 @@ rows can only enlarge the solution space, never corrupt it).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .core import (
     C1,
     C2,
@@ -25,6 +27,7 @@ from .core import (
     I,
     L,
     Product,
+    bilinear_extension,
     center_basis,
     CENTRAL_KEYS,
 )
@@ -83,13 +86,7 @@ class BilinearMap:
         return True
 
     def eval(self, product: Product, x: Element, y: Element) -> Element:
-        out = Element.zero()
-        for ka, ca in x.items():
-            for kb, cb in y.items():
-                if not self.covers(ka, kb):
-                    raise DomainNotCovered((ka, kb))
-                out = out + self.eval_keys(product, ka, kb).scaled(ca * cb)
-        return out
+        return bilinear_extension(partial(self.eval_keys, product), x, y)
 
 
 class Inner(BilinearMap):

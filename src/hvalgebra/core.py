@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import IndexOverflow
-from .scalars import Scalar, coefficient_text
+from .scalars import Scalar, accumulate, coefficient_text
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
@@ -100,6 +100,13 @@ class Element:
                     clean[key] = scalar
         self._coeffs = clean
 
+    @staticmethod
+    def _of(coeffs: dict) -> "Element":
+        """Wrap a dict of nonzero Scalars without copying or checking it."""
+        out = Element.__new__(Element)
+        out._coeffs = coeffs
+        return out
+
     @classmethod
     def zero(cls) -> "Element":
         return cls()
@@ -138,16 +145,8 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         acc = dict(self._coeffs)
-        for key, value in other._coeffs.items():
-            merged = acc.get(key)
-            merged = value if merged is None else merged + value
-            if merged:
-                acc[key] = merged
-            else:
-                acc.pop(key, None)
-        out = Element.__new__(Element)
-        out._coeffs = acc
-        return out
+        accumulate(acc, other._coeffs)
+        return Element._of(acc)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -155,17 +154,13 @@ class Element:
         return self + (-other)
 
     def __neg__(self):
-        out = Element.__new__(Element)
-        out._coeffs = {k: -v for k, v in self._coeffs.items()}
-        return out
+        return Element._of({k: -v for k, v in self._coeffs.items()})
 
     def scaled(self, value) -> "Element":
         scalar = Scalar.coerce(value)
         if not scalar:
             return Element.zero()
-        out = Element.__new__(Element)
-        out._coeffs = {k: scalar * v for k, v in self._coeffs.items()}
-        return out
+        return Element._of({k: scalar * v for k, v in self._coeffs.items()})
 
     def __mul__(self, value):
         try:
@@ -178,9 +173,7 @@ class Element:
     # -- structure helpers ---------------------------------------------
 
     def restrict(self, predicate) -> "Element":
-        out = Element.__new__(Element)
-        out._coeffs = {k: v for k, v in self._coeffs.items() if predicate(k)}
-        return out
+        return Element._of({k: v for k, v in self._coeffs.items() if predicate(k)})
 
     def noncentral(self) -> "Element":
         return self.restrict(lambda k: not k.is_central)
@@ -216,6 +209,26 @@ class Element:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def linear_extension(on_key, x: Element) -> Element:
+    """The linear map with basis values ``on_key(k)``, applied to x."""
+    acc = {}
+    for key, coeff in x._coeffs.items():
+        accumulate(acc, on_key(key)._coeffs, coeff)
+    return Element._of(acc)
+
+
+def bilinear_extension(on_keys, x: Element, y: Element) -> Element:
+    """The bilinear map with basis values ``on_keys(a, b)``, applied to
+    (x, y).  Products, brackets and bilinear maps all evaluate this way."""
+    acc = {}
+    for ka, ca in x._coeffs.items():
+        for kb, cb in y._coeffs.items():
+            base = on_keys(ka, kb)
+            if base:
+                accumulate(acc, base._coeffs, ca * cb)
+    return Element._of(acc)
 
 
 class AlgebraKind(Enum):
@@ -272,23 +285,7 @@ def bracket(kind: AlgebraKind, x: Element, y: Element) -> Element:
     """Bilinear extension of the bracket to elements."""
     _check_kind(kind, x)
     _check_kind(kind, y)
-    acc = {}
-    for ka, ca in x._coeffs.items():
-        for kb, cb in y._coeffs.items():
-            base = bracket_keys(kind, ka, kb)
-            if not base:
-                continue
-            c = ca * cb
-            for key, value in base._coeffs.items():
-                merged = acc.get(key)
-                merged = c * value if merged is None else merged + c * value
-                if merged:
-                    acc[key] = merged
-                else:
-                    acc.pop(key, None)
-    out = Element.__new__(Element)
-    out._coeffs = acc
-    return out
+    return bilinear_extension(partial(bracket_keys, kind), x, y)
 
 
 def project_w00(x: Element) -> Element:
@@ -315,9 +312,9 @@ def basis_window(n_max: int, include_central: bool):
 class Product:
     """A bilinear product on the algebra, given by its action on basis keys.
 
-    Concrete products implement ``mul_keys``; ``mul`` is the bilinear
-    extension and ``commutator`` the induced skew product x*y - y*x (equal
-    to ``mul`` itself for Lie products).
+    Concrete products implement ``mul_keys``; ``mul`` is its bilinear
+    extension and ``commutator_keys`` the induced skew product a*b - b*a
+    (equal to ``mul_keys`` itself for Lie products).
     """
 
     name = "?"
@@ -328,29 +325,10 @@ class Product:
         raise NotImplementedError
 
     def mul(self, x: Element, y: Element) -> Element:
-        acc = {}
-        for ka, ca in x._coeffs.items():
-            for kb, cb in y._coeffs.items():
-                base = self.mul_keys(ka, kb)
-                if not base:
-                    continue
-                c = ca * cb
-                for key, value in base._coeffs.items():
-                    merged = acc.get(key)
-                    merged = c * value if merged is None else merged + c * value
-                    if merged:
-                        acc[key] = merged
-                    else:
-                        acc.pop(key, None)
-        out = Element.__new__(Element)
-        out._coeffs = acc
-        return out
+        return bilinear_extension(self.mul_keys, x, y)
 
     def commutator_keys(self, a: BasisKey, b: BasisKey) -> Element:
         return self.mul_keys(a, b) - self.mul_keys(b, a)
-
-    def commutator(self, x: Element, y: Element) -> Element:
-        return self.mul(x, y) - self.mul(y, x)
 
     def window_keys(self, n_max: int, central: bool = True):
         return basis_window(n_max, central and self.has_central)
@@ -377,9 +355,6 @@ class LieProduct(Product):
 
     def commutator_keys(self, a, b):
         return self.mul_keys(a, b)
-
-    def commutator(self, x, y):
-        return self.mul(x, y)
 
 
 LIE_HV = LieProduct(AlgebraKind.HV)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import Scalar
+from .scalars import Scalar, accumulate
 
 
 class VarRegistry:
@@ -56,6 +56,16 @@ class VarRegistry:
         return len(self._labels)
 
 
+def _eliminate(row: dict, col: int, pivot_row: dict) -> None:
+    """Clear ``row[col]`` in place with ``pivot_row``, whose entry at col is
+    1.  That entry is left out of the sum, as it only cancels ``row[col]``."""
+    factor = row.pop(col)
+    rest = dict(pivot_row)
+    del rest[col]
+    if rest:
+        accumulate(row, rest, -factor)
+
+
 def _reduce(row: dict, pivots: dict) -> dict:
     """Eliminate every pivot column from ``row`` (row is not mutated).
 
@@ -64,21 +74,9 @@ def _reduce(row: dict, pivots: dict) -> dict:
     """
     out = dict(row)
     for col in sorted(row):
-        if col not in out:
-            continue
         prow = pivots.get(col)
-        if prow is None:
-            continue
-        factor = out.pop(col)
-        for c, v in prow.items():
-            if c == col:
-                continue
-            merged = out.get(c)
-            merged = -factor * v if merged is None else merged - factor * v
-            if merged:
-                out[c] = merged
-            else:
-                out.pop(c, None)
+        if prow is not None and col in out:
+            _eliminate(out, col, prow)
     return out
 
 
@@ -96,22 +94,9 @@ def rref(rows) -> list:
         col = min(row)
         inv = row[col].inv()
         row = {c: v * inv for c, v in row.items()}
-        for pcol, prow in pivots.items():
-            coeff = prow.get(col)
-            if coeff is None:
-                continue
-            merged = dict(prow)
-            del merged[col]
-            for c, v in row.items():
-                if c == col:
-                    continue
-                value = merged.get(c)
-                value = -coeff * v if value is None else value - coeff * v
-                if value:
-                    merged[c] = value
-                else:
-                    merged.pop(c, None)
-            pivots[pcol] = merged
+        for prow in pivots.values():
+            if col in prow:
+                _eliminate(prow, col, row)
         pivots[col] = row
     return [pivots[c] for c in sorted(pivots)]
 
@@ -185,14 +170,7 @@ class LinearSystem:
         self._coords = {}
 
     def add(self, coord, col: int, value: Scalar) -> None:
-        entries = self._coords.setdefault(coord, {})
-        merged = entries.get(col)
-        if merged is not None:
-            value = merged + value
-        if value:
-            entries[col] = value
-        else:
-            entries.pop(col, None)
+        accumulate(self._coords.setdefault(coord, {}), {col: value})
 
     def flush(self, admit=None) -> None:
         for coord, row in self._coords.items():

@@ -27,6 +27,7 @@ from .core import (
     bracket,
     bracket_keys,
     center_basis,
+    linear_extension,
 )
 from .errors import DomainNotCovered, NotCentral
 from .linalg import LinearSystem
@@ -117,9 +118,7 @@ def leibniz_residual(product: Product, d, a: BasisKey, b: BasisKey) -> Element:
     Every derivation-type identity of the package is this rule for some
     ``d``; the result is zero exactly when the rule holds at (a, b).
     """
-    lhs = Element.zero()
-    for key, coeff in product.mul_keys(a, b).items():
-        lhs = lhs + d(key).scaled(coeff)
+    lhs = linear_extension(d, product.mul_keys(a, b))
     # all values before any product, so an uncovered key is what raises
     da, db = d(a), d(b)
     return lhs - product.mul(da, Element.basis(b)) - product.mul(Element.basis(a), db)
@@ -135,10 +134,7 @@ class LinearMap:
         return True
 
     def __call__(self, x: Element) -> Element:
-        out = Element.zero()
-        for key, coeff in x.items():
-            out = out + self.apply_key(key).scaled(coeff)
-        return out
+        return linear_extension(self.apply_key, x)
 
 
 class InnerAd(LinearMap):

@@ -159,5 +159,25 @@ def coefficient_text(value: Scalar):
     return False, f"({value})"
 
 
+def accumulate(acc: dict, terms: dict, factor=None) -> None:
+    """acc += factor * terms, in place, on dicts of nonzero Scalars.
+
+    ``factor`` defaults to one.  An entry whose sum is zero is removed, so
+    ``acc`` stays free of zeros.  Every sparse sum and elimination step of
+    the package goes through here.
+    """
+    get = acc.get
+    for key, value in terms.items():
+        if factor is not None:
+            value = factor * value
+        old = get(key)
+        if old is not None:
+            value = old + value
+        if value:
+            acc[key] = value
+        else:
+            acc.pop(key, None)
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)

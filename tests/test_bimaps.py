@@ -9,6 +9,7 @@ from hvalgebra.bimaps import (
     Inner,
     Omega,
     ROmega,
+    SumBilinear,
     TabularBilinear,
     central_annihilation,
     classified_span,
@@ -128,6 +129,15 @@ def test_symmetry_classes():
     assert symmetry_class(Inner(Scalar(1)), w) == "skew"
     assert symmetry_class(Classified(Scalar(1), Omega({0: 1})), w) == "neither"
     assert symmetry_class(Inner(Scalar(0)), w) == "symmetric"
+
+
+def test_eval_raises_at_an_uncovered_pair_of_a_sum():
+    tab = TabularBilinear({(L(0), L(1)): E(I(1))}, domain=[L(0), L(1)])
+    f = SumBilinear((Inner(1), tab))
+    assert f.eval(LIE_HV, E(L(0)), E(L(1))) == f.eval_keys(LIE_HV, L(0), L(1))
+    with pytest.raises(DomainNotCovered) as err:
+        f.eval(LIE_HV, Element({L(0): 1, L(1): 2}), Element({L(1): 1, L(2): 1}))
+    assert err.value.where == (L(0), L(2))
 
 
 def test_central_annihilation():

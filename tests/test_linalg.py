@@ -1,8 +1,11 @@
 """Exact sparse row reduction, nullspaces, and span comparison."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvalgebra import linalg
 from hvalgebra.bimaps import solve_biderivations
@@ -89,6 +92,93 @@ def test_rank_nullity_on_random_sparse_matrices():
                 assert not total
         # nullspace output is itself canonical
         assert rref(basis) == basis
+
+
+# -- a dense oracle: Gauss-Jordan over (re, im) pairs of Fractions ---------
+
+
+def _dense_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _dense_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _dense_inv(a):
+    norm = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / norm, -a[1] / norm)
+
+
+_DENSE_ZERO = (Fraction(0), Fraction(0))
+_DENSE_ONE = (Fraction(1), Fraction(0))
+
+
+def _dense_rref(matrix, ncols):
+    """Nonzero rows of the reduced row echelon form of a dense matrix."""
+    m = [list(row) for row in matrix]
+    lead = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(lead, len(m)) if m[r][col] != _DENSE_ZERO), None)
+        if pivot is None:
+            continue
+        m[lead], m[pivot] = m[pivot], m[lead]
+        inv = _dense_inv(m[lead][col])
+        m[lead] = [_dense_mul(v, inv) for v in m[lead]]
+        for r in range(len(m)):
+            if r != lead and m[r][col] != _DENSE_ZERO:
+                factor = m[r][col]
+                m[r] = [_dense_sub(v, _dense_mul(factor, p)) for v, p in zip(m[r], m[lead])]
+        lead += 1
+    return m[:lead]
+
+
+def _dense_nullspace(matrix, ncols):
+    reduced = _dense_rref(matrix, ncols)
+    pivots = [row.index(next(v for v in row if v != _DENSE_ZERO)) for row in reduced]
+    vectors = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [_DENSE_ZERO] * ncols
+        vec[free] = _DENSE_ONE
+        for row, pcol in zip(reduced, pivots):
+            vec[pcol] = _dense_sub(_DENSE_ZERO, row[free])
+        vectors.append(vec)
+    return _dense_rref(vectors, ncols)
+
+
+def _to_dense(row, ncols):
+    zero = Scalar(0)
+    return [(row.get(c, zero).re, row.get(c, zero).im) for c in range(ncols)]
+
+
+_small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_entries = st.builds(Scalar, _small_rationals, _small_rationals)
+
+
+@st.composite
+def _systems(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), _entries), max_size=6)
+    )
+    return [{c: v for c, v in row.items() if v} for row in rows], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_rank_rref_and_nullspace_match_a_dense_oracle(system):
+    rows, ncols = system
+    before = [dict(row) for row in rows]
+    dense = [_to_dense(row, ncols) for row in rows]
+    expected = _dense_rref(dense, ncols)
+    assert [_to_dense(row, ncols) for row in rref(rows)] == expected
+    assert rank(rows) == len(expected)
+    assert [_to_dense(vec, ncols) for vec in nullspace(rows, ncols)] == (
+        _dense_nullspace(dense, ncols)
+    )
+    assert rows == before
 
 
 def test_solve_affine():

@@ -99,6 +99,14 @@ def test_tabular_map_domain():
     assert report.skipped > 0
 
 
+def test_call_raises_at_an_uncovered_key_of_a_sum():
+    m = SumMap((D3, TabularMap({L(1): E(I(1))})))
+    assert m(Element({L(1): 3})) == Element({I(1): 6})
+    with pytest.raises(DomainNotCovered) as err:
+        m(Element({L(1): 1, L(2): 1}))
+    assert err.value.where == L(2)
+
+
 def test_tabulate_and_sums():
     m = SumMap((ScaledMap(D3, Scalar(2)), D1))
     keys = basis_window(2, include_central=False)

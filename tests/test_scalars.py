@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hvalgebra.scalars import ONE, ZERO, Scalar
+from hvalgebra.core import I, L
+from hvalgebra.scalars import ONE, ZERO, Scalar, accumulate
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -94,3 +95,15 @@ def test_conjugation_is_involutive(a):
 def test_hash_consistent_with_equality(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("a, b, c", [(L(1), I(-2), L(0)), (0, 1, 2)])
+def test_accumulate_removes_entries_that_cancel(a, b, c):
+    acc = {a: Scalar(2), b: Scalar(1, 1)}
+    accumulate(acc, {a: Scalar(-2), c: Scalar(3)})
+    assert acc == {b: Scalar(1, 1), c: Scalar(3)}
+    # with a factor: (1+i) + i*(-1+i) = 0 and 3 + i*3i = 0
+    accumulate(acc, {b: Scalar(-1, 1), c: Scalar(0, 3), a: ONE}, Scalar(0, 1))
+    assert acc == {a: Scalar(0, 1)}
+    accumulate(acc, {a: ONE}, Scalar(0, -1))
+    assert acc == {}
