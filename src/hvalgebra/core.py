@@ -242,9 +242,15 @@ class AlgebraKind(Enum):
         return self is AlgebraKind.HV
 
 
+def _require_kind(kind) -> None:
+    if not isinstance(kind, AlgebraKind):
+        raise TypeError(f"expected an AlgebraKind, got {type(kind).__name__}")
+
+
 @lru_cache(maxsize=None)
 def bracket_keys(kind: AlgebraKind, a: BasisKey, b: BasisKey) -> Element:
     """Bracket of two basis symbols as an Element."""
+    _require_kind(kind)  # inside the cache: a rejected call stores nothing
     if a.is_central or b.is_central:
         if not kind.has_central:
             raise ValueError(f"{kind.value} has no central symbols: [{a}, {b}]")
@@ -277,6 +283,7 @@ def bracket_keys(kind: AlgebraKind, a: BasisKey, b: BasisKey) -> Element:
 
 
 def _check_kind(kind: AlgebraKind, x: Element):
+    _require_kind(kind)
     if not kind.has_central and x.has_central_support():
         raise ValueError("quotient elements must have no central support")
 
@@ -295,6 +302,7 @@ def project_w00(x: Element) -> Element:
 
 def center_basis(kind: AlgebraKind):
     """Basis of the center: [I(0), C1, C2, C3] for HV, [I(0)] for W00."""
+    _require_kind(kind)
     if kind.has_central:
         return (Element.basis(I(0)), Element.basis(C1), Element.basis(C2), Element.basis(C3))
     return (Element.basis(I(0)),)

@@ -6,11 +6,17 @@ ones and pivots in increasing variable order), so two computations of the
 same span produce identical representations and every report built on top
 is byte-stable.  Rows stay in reduced canonical form after every stage;
 Fraction arithmetic keeps entries gcd-reduced throughout.
+
+Constraint rows are deduplicated on ``row_key``, which is equal for two
+rows exactly when one is a nonzero Q(i)-multiple of the other.  A row
+that is a multiple of an integer row keys on that row's primitive integer
+vector, so the usual all-integer row is keyed and hashed on ints alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
 from .scalars import Scalar, accumulate
@@ -153,14 +159,43 @@ def solve_affine(rows, nvars: int):
     return solution
 
 
+def row_key(row: dict) -> tuple:
+    """Canonical key of a nonzero row up to nonzero Q(i)-multiples.
+
+    A multiple of an integer row keys on the primitive integer vector: the
+    gcd divided out and the leading (minimum-column) entry positive.  An
+    all-integer real row gets it straight from its entries; any other row
+    is first divided by its leading entry, and if that leaves it real its
+    denominators are cleared.  A row with no real multiple keys on its
+    lead-normalised Scalars, one of which is not real, so it never equals
+    an integer key.
+    """
+    cols = sorted(row)
+    values = [row[c] for c in cols]
+    if any(v.im or v.re.denominator != 1 for v in values):
+        lead = values[0].inv()
+        values = [v * lead for v in values]
+        if any(v.im for v in values):
+            return tuple(zip(cols, values))
+        scale = lcm(*(v.re.denominator for v in values))
+        ints = [v.re.numerator * (scale // v.re.denominator) for v in values]
+    else:
+        ints = [v.re.numerator for v in values]
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return tuple(zip(cols, [n // g for n in ints]))
+
+
 class LinearSystem:
     """The constraint rows of one windowed solve over ``ncols`` unknowns.
 
     Each identity instance adds its terms with ``add`` (one sparse row per
     output coordinate), then ``flush`` turns those coordinates into rows.
     A row is kept when it is nonzero, when the solver's ``admit(coord)``
-    holds (no predicate admits all), and when no scalar multiple of it was
-    kept before; the first occurrence stays.
+    holds (no predicate admits all), and when no row with the same
+    ``row_key`` (a nonzero scalar multiple) was kept before; the first
+    occurrence stays, unnormalised.
     """
 
     def __init__(self, ncols: int):
@@ -176,10 +211,9 @@ class LinearSystem:
         for coord, row in self._coords.items():
             if not row or (admit is not None and not admit(coord)):
                 continue
-            norm = row[min(row)].inv()
-            frozen = tuple(sorted((c, v * norm) for c, v in row.items()))
-            if frozen not in self._seen:
-                self._seen.add(frozen)
+            key = row_key(row)
+            if key not in self._seen:
+                self._seen.add(key)
                 self.rows.append(row)
         self._coords = {}
 

@@ -23,6 +23,7 @@ from .core import (
     I,
     L,
     Product,
+    _check_kind,
     basis_window,
     bracket,
     bracket_keys,
@@ -141,8 +142,7 @@ class InnerAd(LinearMap):
     """The adjoint map y -> [x, y] of a fixed element."""
 
     def __init__(self, kind: AlgebraKind, x: Element):
-        if not kind.has_central and x.has_central_support():
-            raise ValueError("quotient elements must have no central support")
+        _check_kind(kind, x)
         self.kind = kind
         self.x = x
 

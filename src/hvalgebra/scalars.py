@@ -4,11 +4,21 @@ Scalar is the coefficient field for the whole package: a complex number
 whose real and imaginary parts are arbitrary-precision Fractions.  Every
 operation is exact, so downstream zero tests are decisive; no module in
 this package owns a tolerance.
+
+Almost every structure constant is real, so the ring operations skip the
+Fraction products and sums whose imaginary factor is zero: a product with
+a real factor costs two Fraction products (one when both are real), not
+four plus two sums, and a sum with a real term reuses the other term's
+imaginary part.  The fast paths build no zero imaginary part: they reuse
+``_REAL`` or an operand's.  Both parts are always Fractions, so equality,
+hashing and text do not depend on which path made a value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_REAL = Fraction(0)  # the shared imaginary part of real results
 
 
 class Scalar:
@@ -50,7 +60,12 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        re = self.re + other.re
+        if not other.im:
+            return Scalar(re, self.im)
+        if not self.im:
+            return Scalar(re, other.im)
+        return Scalar(re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -69,6 +84,8 @@ class Scalar:
         return Scalar(other.re - self.re, other.im - self.im)
 
     def __neg__(self):
+        if not self.im:
+            return Scalar(-self.re, _REAL)
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
@@ -77,14 +94,20 @@ class Scalar:
         except TypeError:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return Scalar(a * c, a * d if d else _REAL)
+        if not d:
+            return Scalar(a * c, b * c)
         return Scalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("scalar inverse of zero")
+            return Scalar(1 / self.re, _REAL)
         d = self.re * self.re + self.im * self.im
-        if not d:
-            raise ZeroDivisionError("scalar inverse of zero")
         return Scalar(self.re / d, -self.im / d)
 
     def __truediv__(self, other):

@@ -10,6 +10,8 @@ from hvalgebra.core import (
     C1,
     C2,
     C3,
+    LIE_HV,
+    LIE_W00,
     AlgebraKind,
     Element,
     I,
@@ -21,6 +23,7 @@ from hvalgebra.core import (
     project_w00,
 )
 from hvalgebra.errors import IndexOverflow
+from hvalgebra.linmaps import adjoint
 from hvalgebra.scalars import Scalar
 
 HV = AlgebraKind.HV
@@ -53,6 +56,21 @@ def test_quotient_rejects_central_keys():
         bracket_keys(W00, C1, L(0))
     with pytest.raises(ValueError):
         bracket(W00, E(L(1)), E(C3))
+
+
+def test_kind_arguments_reject_a_product():
+    cached = bracket_keys.cache_info().currsize
+    calls = [
+        lambda: bracket_keys(LIE_W00, C1, L(1)),
+        lambda: bracket_keys(LIE_HV, L(1), L(2)),
+        lambda: bracket(LIE_HV, E(L(1)), E(L(2))),
+        lambda: center_basis(LIE_HV),
+        lambda: adjoint(LIE_W00, E(L(1))),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected an AlgebraKind, got LieProduct"):
+            call()
+    assert bracket_keys.cache_info().currsize == cached
 
 
 def test_antisymmetry_window_8():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hvalgebra import linalg
 from hvalgebra.bimaps import solve_biderivations
 from hvalgebra.commuting import solve_commuting
-from hvalgebra.core import LIE_W00
+from hvalgebra.core import LIE_HV, LIE_W00
 from hvalgebra.errors import IncompatibleSpaces, InfeasibleWindow
 from hvalgebra.linalg import (
     LinearSystem,
@@ -18,6 +18,7 @@ from hvalgebra.linalg import (
     VarRegistry,
     nullspace,
     rank,
+    row_key,
     rref,
     solve_affine,
     span_equal,
@@ -181,6 +182,48 @@ def test_rank_rref_and_nullspace_match_a_dense_oracle(system):
     assert rows == before
 
 
+def _scaled(row, factor):
+    return {c: factor * v for c, v in row.items()}
+
+
+_MULTIPLIERS = (Scalar(1), Scalar(-1), Scalar(Fraction(1, 2)), Scalar(0, 1), Scalar(1, 1))
+
+
+def test_row_key_is_shared_by_every_scalar_multiple():
+    # compared as sets, so hashes must agree too, as in LinearSystem's dedup
+    row = S([{0: -2, 3: 4, 5: 6}])[0]
+    keys = {row_key(_scaled(row, factor)) for factor in _MULTIPLIERS}
+    assert keys == {((0, 1), (3, -2), (5, -3))}
+    assert row_key(S([{0: -2, 3: 4, 5: 7}])[0]) not in keys
+    # a row with no real multiple keys on its lead-normalised entries
+    row = {1: Scalar(2), 2: Scalar(0, 2)}
+    keys = {row_key(_scaled(row, factor)) for factor in _MULTIPLIERS}
+    assert keys == {((1, Scalar(1)), (2, Scalar(0, 1)))}
+
+
+_int_rows = st.dictionaries(
+    st.integers(0, 3), st.integers(-4, 4).filter(bool).map(Scalar), min_size=1
+)
+_any_rows = st.dictionaries(st.integers(0, 3), _entries.filter(bool), min_size=1)
+_factors = _entries.filter(bool)
+
+
+@st.composite
+def _row_pairs(draw):
+    r = draw(st.one_of(_int_rows, _any_rows))
+    if draw(st.booleans()):
+        r = _scaled(r, draw(_factors))
+    s = draw(st.one_of(_int_rows, _any_rows, _factors.map(lambda f: _scaled(r, f))))
+    return r, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_pairs())
+def test_row_keys_are_equal_exactly_for_rank_one_pairs(pair):
+    r, s = pair
+    assert (len({row_key(r), row_key(s)}) == 1) == (rank([r, s]) == 1)
+
+
 def test_solve_affine():
     # x + y = 3, y = 1  ->  x = 2 with no free variables involved
     rows = [({0: Scalar(1), 1: Scalar(1)}, 3), ({1: Scalar(1)}, 1)]
@@ -290,6 +333,25 @@ def test_linear_system_affine_solve():
     system = LinearSystem(1)
     _flush(system, {"a": {0: 1, 1: -1}, "b": {0: 1, 1: -2}})
     assert system.solve_affine() is None
+
+
+@pytest.mark.parametrize(
+    "product, degree, shape",
+    [(LIE_W00, 0, (892, 200)), (LIE_HV, None, (7521, 2100))],
+    ids=["graded-lie-w00", "ungraded-lie-hv"],
+)
+def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, monkeypatch):
+    # A dedup key that merges or splits rows moves these counts.
+    shapes = []
+    original = LinearSystem.nullspace
+
+    def record(self):
+        shapes.append((len(self.rows), self.ncols))
+        return original(self)
+
+    monkeypatch.setattr(LinearSystem, "nullspace", record)
+    solve_biderivations(product, Window(2), 4, degree=degree)
+    assert shapes == [shape]
 
 
 @pytest.mark.parametrize(

@@ -39,9 +39,9 @@ def test_complex_multiplication():
 
 
 def test_inverse_and_division_errors():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="scalar inverse of zero"):
         ZERO.inv()
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="scalar inverse of zero"):
         ONE / ZERO
     assert Scalar(1, 1).inv() == Scalar(Fraction(1, 2), Fraction(-1, 2))
 
@@ -83,6 +83,34 @@ def test_field_multiplication_axioms(a, b, c):
 def test_multiplicative_inverse(a):
     assert a * a.inv() == ONE
     assert ONE / a == a.inv()
+
+
+def _parts(x):
+    # Both parts stay Fractions on every path, so hashing and text are canonical.
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    return x.re, x.im
+
+
+_axes = {
+    "real": st.builds(Scalar, rationals),
+    "complex": st.builds(Scalar, rationals, rationals.filter(bool)),
+}
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("real", "real"), ("real", "complex"), ("complex", "real"), ("complex", "complex")],
+)
+@given(data=st.data())
+def test_ring_operations_match_the_textbook_formulas(left, right, data):
+    x, y = data.draw(_axes[left]), data.draw(_axes[right])
+    a, b, c, d = x.re, x.im, y.re, y.im
+    assert _parts(x * y) == (a * c - b * d, a * d + b * c)
+    assert _parts(x + y) == (a + c, b + d)
+    assert _parts(-x) == (-a, -b)
+    if x:
+        norm = a * a + b * b
+        assert _parts(x.inv()) == (a / norm, -b / norm)
 
 
 @given(scalars)
