@@ -11,10 +11,8 @@ from hvalgebra import (
     LIE_W00,
     Element,
     I,
+    InnerAd,
     L,
-    adjoint,
-    center_basis,
-    project_w00,
 )
 
 # Basis keys come in two infinite families L(n), I(n) plus the three
@@ -31,19 +29,19 @@ print()
 for c in (C1, C2, C3):
     assert LIE_HV.mul_keys(c, L(7)).is_zero()
     assert LIE_HV.mul_keys(L(7), c).is_zero()
-print("central symbols bracket to zero:", [str(c) for c in center_basis(LIE_HV.kind)])
+print("central symbols bracket to zero:", [str(c) for c in LIE_HV.center_basis()])
 print()
 
 # The quotient product drops every central contribution.
 print("quotient [L(2), L(-2)] =", LIE_W00.mul_keys(L(2), L(-2)))
 print("quotient [I(5), I(-5)] =", LIE_W00.mul_keys(I(5), I(-5)))
-print("quotient center basis  =", [str(c) for c in center_basis(LIE_W00.kind)])
+print("quotient center basis  =", [str(c) for c in LIE_W00.center_basis()])
 print()
 
-# project_w00 is the corresponding projection on elements.
+# noncentral() is the corresponding projection on elements.
 x = LIE_HV.mul_keys(L(2), L(-2)) + Element.basis(C2, 3)
 print("x           =", x)
-print("project(x)  =", project_w00(x))
+print("project(x)  =", x.noncentral())
 print()
 
 # Brackets extend bilinearly to arbitrary elements.
@@ -64,7 +62,7 @@ jac = (
 print("jacobi(L(3), I(-1), L(-2)) =", jac, "(zero:", jac.is_zero(), ")")
 print()
 
-# adjoint(x) is the inner derivation y -> [x, y].
-ad = adjoint(LIE_HV.kind, Element.basis(L(2)))
+# InnerAd(product, x) is the inner derivation y -> [x, y].
+ad = InnerAd(LIE_HV, Element.basis(L(2)))
 print("ad(L(2)) applied to L(-2):", ad(Element.basis(L(-2))))
 print("ad(L(2)) applied to I(-2):", ad(Element.basis(I(-2))))

@@ -9,9 +9,9 @@ from hvalgebra import (
     D2,
     D3,
     LIE_W00,
+    InnerAd,
     SumMap,
     Window,
-    adjoint,
     decompose_derivation,
     generator_span,
     is_commuting,
@@ -39,7 +39,7 @@ print()
 x = Element({L(2): Scalar(Fraction(1, 3)), I(-1): Scalar(0, 1)})
 built = SumMap(
     (
-        adjoint(LIE_W00.kind, x),
+        InnerAd(LIE_W00, x),
         ScaledMap(D1, Scalar(5)),
         ScaledMap(D2, Scalar(-2)),
         ScaledMap(D3, Scalar(1, 1)),

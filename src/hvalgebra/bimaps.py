@@ -26,9 +26,9 @@ from .core import (
     Element,
     I,
     L,
+    LieProduct,
     Product,
     bilinear_extension,
-    center_basis,
     CENTRAL_KEYS,
 )
 from .errors import DomainNotCovered
@@ -74,16 +74,14 @@ class Omega:
 class BilinearMap:
     """Base class: a bilinear map given by its action on basis key pairs.
 
-    ``eval_keys`` returns the value on a pair of basis symbols; ``covers``
-    reports whether that value is fully known (tabular maps built from
-    windowed solves have only partial knowledge near the boundary).
+    ``eval_keys`` returns the value on a pair of basis symbols, or raises
+    DomainNotCovered when that value is not fully known (tabular maps
+    built from windowed solves have only partial knowledge near the
+    boundary).
     """
 
     def eval_keys(self, product: Product, a: BasisKey, b: BasisKey) -> Element:
         raise NotImplementedError
-
-    def covers(self, a: BasisKey, b: BasisKey) -> bool:
-        return True
 
     def eval(self, product: Product, x: Element, y: Element) -> Element:
         return bilinear_extension(partial(self.eval_keys, product), x, y)
@@ -154,17 +152,15 @@ class TabularBilinear(BilinearMap):
         self.out_degree = out_degree
         self.out_bound = out_bound
 
-    def covers(self, a, b):
-        if a not in self.domain or b not in self.domain:
-            return False
-        if self.out_bound is None or self.out_degree is None:
-            return True
-        if a.is_central or b.is_central:
-            return True
-        return abs(a.index + b.index + self.out_degree) <= self.out_bound
-
     def eval_keys(self, product, a, b):
-        if not self.covers(a, b):
+        covered = a in self.domain and b in self.domain
+        if covered and self.out_bound is not None and self.out_degree is not None:
+            covered = (
+                a.is_central
+                or b.is_central
+                or abs(a.index + b.index + self.out_degree) <= self.out_bound
+            )
+        if not covered:
             raise DomainNotCovered((a, b))
         return self.table.get((a, b), Element.zero())
 
@@ -175,9 +171,6 @@ class TabularBilinear(BilinearMap):
 class SumBilinear(BilinearMap):
     def __init__(self, parts):
         self.parts = tuple(parts)
-
-    def covers(self, a, b):
-        return all(part.covers(a, b) for part in self.parts)
 
     def eval_keys(self, product, a, b):
         out = Element.zero()
@@ -250,10 +243,10 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
 
 def central_annihilation(f: BilinearMap, product: Product, window: Window) -> CheckReport:
     """Check that f vanishes against the center in both argument slots."""
-    if not product.is_lie:
-        raise ValueError("central annihilation is defined for the Lie kinds")
+    if not isinstance(product, LieProduct):
+        raise ValueError("central annihilation is defined for the Lie products")
     keys = product.window_keys(window.n_max)
-    centers = center_basis(product.kind)
+    centers = product.center_basis()
     instances = ((b, c) for b in keys for c in centers)
 
     def check(instance):
@@ -289,11 +282,7 @@ def _out_keys(product: Product, s: int, out_bound: int, degree):
     bound.  Keys are produced in canonical order.
     """
     if degree is None:
-        keys = [L(t) for t in range(-out_bound, out_bound + 1)]
-        keys.extend(I(t) for t in range(-out_bound, out_bound + 1))
-        if product.has_central:
-            keys.extend(CENTRAL_KEYS)
-        return keys
+        return product.window_keys(out_bound)
     t = s + degree
     keys = []
     if abs(t) <= out_bound:

@@ -15,7 +15,7 @@ import time
 from . import __version__
 from .bimaps import interior_projection, is_biderivation, solve_biderivations, symmetry_class
 from .commuting import is_commuting, solve_commuting
-from .core import LIE_HV, LIE_W00, AlgebraKind, Product
+from .core import LIE_HV, LIE_W00, Product
 from .errors import DomainNotCovered, HvError, ParseError
 from .leftsym import LeftSymParams, LeftSymProduct, is_left_symmetric, subadjacent_residual
 from .linmaps import Window, decompose_derivation, is_derivation
@@ -30,7 +30,10 @@ from .postlie import is_commutative_postlie
 from .render import render_check_report, render_solution_space, render_strata_report
 from .scalars import Scalar
 
-PRODUCT_NAMES = ("lie-hv", "lie-w00", "leftsym", "leftsym-quotient")
+# The bracket of the algebra each --product name works in: the full
+# algebra, or its centerless quotient.
+LIE = {"lie-hv": LIE_HV, "lie-w00": LIE_W00, "leftsym": LIE_HV, "leftsym-quotient": LIE_W00}
+PRODUCT_NAMES = tuple(LIE)
 
 
 def _ls_params(args) -> LeftSymParams:
@@ -42,11 +45,9 @@ def _ls_params(args) -> LeftSymParams:
 
 
 def _product(name: str, args) -> Product:
-    if name == "lie-hv":
-        return LIE_HV
-    if name == "lie-w00":
-        return LIE_W00
-    return LeftSymProduct(_ls_params(args), quotient=name.endswith("quotient"))
+    if name.startswith("lie-"):
+        return LIE[name]
+    return LeftSymProduct(_ls_params(args), quotient=not LIE[name].has_central)
 
 
 def _read(path: str) -> str:
@@ -70,19 +71,17 @@ def _finish_check(args, report) -> int:
 
 def _cmd_eval(args) -> int:
     node = parse_expression(args.expr)
-    kind = AlgebraKind.W00 if args.product == "lie-w00" else AlgebraKind.HV
+    lie = LIE[args.product]
     ls = None
     if args.epsilon is not None:
-        ls = LeftSymProduct(_ls_params(args), quotient=args.product == "leftsym-quotient")
-        kind = AlgebraKind.W00 if args.product == "leftsym-quotient" else AlgebraKind.HV
-    print(evaluate_expression(node, kind, ls))
+        ls = LeftSymProduct(_ls_params(args), quotient=not lie.has_central)
+    print(evaluate_expression(node, lie, ls))
     return 0
 
 
 def _cmd_check_derivation(args) -> int:
     product = _product(args.product, args)
-    kind = AlgebraKind.HV if product.has_central else AlgebraKind.W00
-    m = parse_linear_map_file(_read(args.map), kind)
+    m = parse_linear_map_file(_read(args.map), LIE[args.product])
     report = is_derivation(m, product, Window(args.window))
     return _finish_check(args, report)
 
@@ -102,7 +101,7 @@ def _cmd_check_biderivation(args) -> int:
 
 
 def _cmd_check_commuting(args) -> int:
-    phi = parse_linear_map_file(_read(args.map), AlgebraKind.HV)
+    phi = parse_linear_map_file(_read(args.map), LIE_HV)
     report = is_commuting(phi, Window(args.window))
     return _finish_check(args, report)
 
@@ -159,7 +158,7 @@ def _cmd_report_leftsym(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    d = parse_linear_map_file(_read(args.map), AlgebraKind.W00)
+    d = parse_linear_map_file(_read(args.map), LIE_W00)
     result = decompose_derivation(d, Window(args.window))
     _header(args)
     if result is None:

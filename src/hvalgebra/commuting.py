@@ -9,14 +9,7 @@ span on a window.
 
 from __future__ import annotations
 
-from .core import (
-    AlgebraKind,
-    Element,
-    LIE_HV,
-    bracket,
-    bracket_keys,
-    center_basis,
-)
+from .core import Element, LIE_HV
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import (
     CentralMap,
@@ -44,9 +37,7 @@ def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     def check(pair):
         a, b = pair
         ea, eb = Element.basis(a), Element.basis(b)
-        residual = bracket(AlgebraKind.HV, phi(ea), eb) + bracket(
-            AlgebraKind.HV, phi(eb), ea
-        )
+        residual = LIE_HV.mul(phi(ea), eb) + LIE_HV.mul(phi(eb), ea)
         if residual.is_zero():
             return ()
         return (Counterexample((a, b), "polarized", residual),)
@@ -77,13 +68,14 @@ def solve_commuting(window: Window) -> SolutionSpace:
         for u in out_keys:
             registry.add(("phi", b, u))
     var_of = registry.id_of
+    mul_keys = LIE_HV.mul_keys
     system = LinearSystem(len(registry))
 
     for i, bi in enumerate(domain):
         for bj in domain[i:]:
             for b_arg, b_other in ((bi, bj), (bj, bi)):
                 for u in out_keys:
-                    base = bracket_keys(AlgebraKind.HV, u, b_other)
+                    base = mul_keys(u, b_other)
                     if not base:
                         continue
                     vid = var_of(("phi", b_arg, u))
@@ -110,7 +102,7 @@ def generator_span(space: SolutionSpace, n_int: int) -> SolutionSpace:
     for b in interior:
         identity[registry.id_of(("phi", b, b))] = Scalar(1)
     vectors.append(identity)
-    central_keys = [elt.support()[0] for elt in center_basis(AlgebraKind.HV)]
+    central_keys = [elt.support()[0] for elt in LIE_HV.center_basis()]
     for b in interior:
         for c in central_keys:
             vectors.append({registry.id_of(("phi", b, c)): Scalar(1)})

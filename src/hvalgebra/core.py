@@ -7,14 +7,17 @@ central symbols C1, C2, C3, and bracket (for integer indices p, q)
     [L(p), I(q)] = -q I(p+q) - (p^2 + p) * delta(p, -q) C2
     [I(p), I(q)] = p * delta(p, -q) C3
 
-with C1, C2, C3 killing everything.  AlgebraKind.W00 is the quotient by
-the span of C1, C2, C3: the same brackets with every C-term dropped (its
-elements must not touch the central symbols at all).
+with C1, C2, C3 killing everything.  An algebra is named by its product:
+``LIE_HV`` is this bracket and ``LIE_W00`` the quotient by the span of
+C1, C2, C3, the same brackets with every C-term dropped (its elements
+must not touch the central symbols at all).  Every product, Lie or
+left-symmetric, is a ``Product``: ``mul_keys`` on basis symbols, ``mul``
+on elements, and ``window_keys`` for the basis symbols of an index
+window.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -231,38 +234,21 @@ def bilinear_extension(on_keys, x: Element, y: Element) -> Element:
     return Element._of(acc)
 
 
-class AlgebraKind(Enum):
-    """The full algebra with central symbols, or its centerless quotient."""
-
-    HV = "hv"
-    W00 = "w00"
-
-    @property
-    def has_central(self) -> bool:
-        return self is AlgebraKind.HV
-
-
-def _require_kind(kind) -> None:
-    if not isinstance(kind, AlgebraKind):
-        raise TypeError(f"expected an AlgebraKind, got {type(kind).__name__}")
-
-
 @lru_cache(maxsize=None)
-def bracket_keys(kind: AlgebraKind, a: BasisKey, b: BasisKey) -> Element:
-    """Bracket of two basis symbols as an Element."""
-    _require_kind(kind)  # inside the cache: a rejected call stores nothing
+def bracket_keys(has_central: bool, a: BasisKey, b: BasisKey) -> Element:
+    """Bracket of two basis symbols: the full bracket when ``has_central``,
+    else the centerless quotient.  Called only by ``LieProduct``."""
     if a.is_central or b.is_central:
-        if not kind.has_central:
-            raise ValueError(f"{kind.value} has no central symbols: [{a}, {b}]")
+        if not has_central:
+            raise ValueError(f"w00 has no central symbols: [{a}, {b}]")
         return Element.zero()
     p, q = a.index, b.index
-    central = kind.has_central
     if a.family == "L":
         if b.family == "L":
             coeffs = {}
             if p != q:
                 coeffs[L(p + q)] = p - q
-            if central and p == -q:
+            if has_central and p == -q:
                 c = Fraction(p**3 - p, 12)
                 if c:
                     coeffs[C1] = c
@@ -270,51 +256,16 @@ def bracket_keys(kind: AlgebraKind, a: BasisKey, b: BasisKey) -> Element:
         coeffs = {}
         if q != 0:
             coeffs[I(p + q)] = -q
-        if central and p == -q:
+        if has_central and p == -q:
             c = -(p * p + p)
             if c:
                 coeffs[C2] = c
         return Element(coeffs)
     if b.family == "L":
-        return -bracket_keys(kind, b, a)
-    if central and p == -q and p != 0:
+        return -bracket_keys(has_central, b, a)
+    if has_central and p == -q and p != 0:
         return Element({C3: p})
     return Element.zero()
-
-
-def _check_kind(kind: AlgebraKind, x: Element):
-    _require_kind(kind)
-    if not kind.has_central and x.has_central_support():
-        raise ValueError("quotient elements must have no central support")
-
-
-def bracket(kind: AlgebraKind, x: Element, y: Element) -> Element:
-    """Bilinear extension of the bracket to elements."""
-    _check_kind(kind, x)
-    _check_kind(kind, y)
-    return bilinear_extension(partial(bracket_keys, kind), x, y)
-
-
-def project_w00(x: Element) -> Element:
-    """Quotient projection: drop the central symbols."""
-    return x.noncentral()
-
-
-def center_basis(kind: AlgebraKind):
-    """Basis of the center: [I(0), C1, C2, C3] for HV, [I(0)] for W00."""
-    _require_kind(kind)
-    if kind.has_central:
-        return (Element.basis(I(0)), Element.basis(C1), Element.basis(C2), Element.basis(C3))
-    return (Element.basis(I(0)),)
-
-
-def basis_window(n_max: int, include_central: bool):
-    """Window keys in canonical order: L(-N..N), I(-N..N), then centrals."""
-    keys = [L(n) for n in range(-n_max, n_max + 1)]
-    keys.extend(I(n) for n in range(-n_max, n_max + 1))
-    if include_central:
-        keys.extend(CENTRAL_KEYS)
-    return tuple(keys)
 
 
 class Product:
@@ -327,7 +278,6 @@ class Product:
 
     name = "?"
     has_central = True
-    is_lie = False
 
     def mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
         raise NotImplementedError
@@ -339,31 +289,47 @@ class Product:
         return self.mul_keys(a, b) - self.mul_keys(b, a)
 
     def window_keys(self, n_max: int, central: bool = True):
-        return basis_window(n_max, central and self.has_central)
+        """Window keys in canonical order: L(-N..N), I(-N..N), then the
+        central symbols when ``central`` and the product has them."""
+        keys = [L(n) for n in range(-n_max, n_max + 1)]
+        keys.extend(I(n) for n in range(-n_max, n_max + 1))
+        if central and self.has_central:
+            keys.extend(CENTRAL_KEYS)
+        return tuple(keys)
 
     def __str__(self):
         return self.name
 
 
 class LieProduct(Product):
-    """The bracket of one of the two algebra kinds, viewed as a product."""
+    """The bracket of the full algebra (``has_central``) or of its
+    centerless quotient, whose elements must not touch C1, C2, C3."""
 
-    is_lie = True
-
-    def __init__(self, kind: AlgebraKind):
-        self.kind = kind
-        self.has_central = kind.has_central
-        self.name = "lie-hv" if kind is AlgebraKind.HV else "lie-w00"
+    def __init__(self, has_central: bool):
+        self.has_central = has_central
+        self.name = "lie-hv" if has_central else "lie-w00"
+        self._mul_keys = partial(bracket_keys, has_central)
 
     def mul_keys(self, a, b):
-        return bracket_keys(self.kind, a, b)
+        return bracket_keys(self.has_central, a, b)
+
+    commutator_keys = mul_keys
+
+    def check_element(self, x: Element) -> None:
+        """Reject an element the product's algebra does not contain."""
+        if not self.has_central and x.has_central_support():
+            raise ValueError("quotient elements must have no central support")
 
     def mul(self, x, y):
-        return bracket(self.kind, x, y)
+        self.check_element(x)
+        self.check_element(y)
+        return bilinear_extension(self._mul_keys, x, y)
 
-    def commutator_keys(self, a, b):
-        return self.mul_keys(a, b)
+    def center_basis(self):
+        """Basis of the center: I(0), then C1, C2, C3 on the full bracket."""
+        keys = (I(0),) + (CENTRAL_KEYS if self.has_central else ())
+        return tuple(Element.basis(k) for k in keys)
 
 
-LIE_HV = LieProduct(AlgebraKind.HV)
-LIE_W00 = LieProduct(AlgebraKind.W00)
+LIE_HV = LieProduct(True)
+LIE_W00 = LieProduct(False)

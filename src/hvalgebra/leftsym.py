@@ -27,13 +27,12 @@ from .core import (
     C1,
     C2,
     C3,
-    AlgebraKind,
+    LIE_HV,
     BasisKey,
     Element,
     I,
     L,
     Product,
-    bracket_keys,
 )
 from .errors import ZeroDenominator
 from .linalg import SolutionSpace
@@ -70,8 +69,6 @@ def params_valid(params: LeftSymParams) -> bool:
 
 class LeftSymProduct(Product):
     """The left-symmetric product, optionally on the centerless quotient."""
-
-    is_lie = False
 
     def __init__(self, params: LeftSymParams, quotient: bool = False):
         if params.epsilon.is_zero():
@@ -126,10 +123,6 @@ class LeftSymProduct(Product):
             if delta and not self.quotient:
                 coeffs[C3] = Fraction(n, 2)
         return Element(coeffs)
-
-
-def ls_product(params: LeftSymParams, x: Element, y: Element) -> Element:
-    return LeftSymProduct(params).mul(x, y)
 
 
 def is_left_symmetric(params: LeftSymParams, window: Window, strata: str = "all") -> CheckReport:
@@ -191,9 +184,7 @@ def subadjacent_residual(params: LeftSymParams, window: Window):
     out = []
     for a in keys:
         for b in keys:
-            residual = product.commutator_keys(a, b) - bracket_keys(
-                AlgebraKind.HV, a, b
-            )
+            residual = product.commutator_keys(a, b) - LIE_HV.mul_keys(a, b)
             out.append(
                 StratifiedResidual(
                     (a, b),

@@ -17,17 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    AlgebraKind,
+    LIE_HV,
+    LIE_W00,
     BasisKey,
     Element,
     I,
-    L,
+    LieProduct,
     Product,
-    _check_kind,
-    basis_window,
-    bracket,
-    bracket_keys,
-    center_basis,
     linear_extension,
 )
 from .errors import DomainNotCovered, NotCentral
@@ -131,9 +127,6 @@ class LinearMap:
     def apply_key(self, key: BasisKey) -> Element:
         raise NotImplementedError
 
-    def covers(self, key: BasisKey) -> bool:
-        return True
-
     def __call__(self, x: Element) -> Element:
         return linear_extension(self.apply_key, x)
 
@@ -141,20 +134,16 @@ class LinearMap:
 class InnerAd(LinearMap):
     """The adjoint map y -> [x, y] of a fixed element."""
 
-    def __init__(self, kind: AlgebraKind, x: Element):
-        _check_kind(kind, x)
-        self.kind = kind
+    def __init__(self, product: LieProduct, x: Element):
+        product.check_element(x)
+        self.product = product
         self.x = x
 
     def apply_key(self, key):
-        return bracket(self.kind, self.x, Element.basis(key))
+        return self.product.mul(self.x, Element.basis(key))
 
     def __str__(self):
         return f"ad({self.x})"
-
-
-def adjoint(kind: AlgebraKind, x: Element) -> InnerAd:
-    return InnerAd(kind, x)
 
 
 class OuterDerivation(LinearMap):
@@ -199,15 +188,14 @@ class ScalarId(LinearMap):
 
 
 class CentralMap(LinearMap):
-    """A map with values in the center, given by a finite table.
+    """A map with values in the center of the full algebra, given by a
+    finite table.
 
     Keys missing from the table go to zero, so the map is total.
     """
 
-    def __init__(self, table, kind: AlgebraKind = AlgebraKind.HV):
-        central = set()
-        for elt in center_basis(kind):
-            central.update(elt.support())
+    def __init__(self, table):
+        central = {k for elt in LIE_HV.center_basis() for k in elt.support()}
         clean = {}
         for key, value in table.items():
             if any(k not in central for k in value.support()):
@@ -230,9 +218,6 @@ class TabularMap(LinearMap):
         self.table = {k: v for k, v in table.items() if v}
         self.domain = frozenset(table) | frozenset(domain or ())
 
-    def covers(self, key):
-        return key in self.domain
-
     def apply_key(self, key):
         if key not in self.domain:
             raise DomainNotCovered(key)
@@ -247,9 +232,6 @@ class ScaledMap(LinearMap):
         self.inner = inner
         self.coeff = Scalar.coerce(coeff)
 
-    def covers(self, key):
-        return self.inner.covers(key)
-
     def apply_key(self, key):
         return self.inner.apply_key(key).scaled(self.coeff)
 
@@ -260,9 +242,6 @@ class ScaledMap(LinearMap):
 class SumMap(LinearMap):
     def __init__(self, parts):
         self.parts = tuple(parts)
-
-    def covers(self, key):
-        return all(part.covers(key) for part in self.parts)
 
     def apply_key(self, key):
         out = Element.zero()
@@ -298,17 +277,18 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
 
 @dataclass(frozen=True)
 class Decomposition:
-    """d = ad(inner) + d1_coeff*d1 + d2_coeff*d2 + d3_coeff*d3."""
+    """d = ad(inner) + d1_coeff*d1 + d2_coeff*d2 + d3_coeff*d3 on the
+    centerless quotient."""
 
     inner: Element
     d1_coeff: Scalar
     d2_coeff: Scalar
     d3_coeff: Scalar
 
-    def as_map(self, kind: AlgebraKind = AlgebraKind.W00) -> LinearMap:
+    def as_map(self) -> LinearMap:
         return SumMap(
             (
-                InnerAd(kind, self.inner),
+                InnerAd(LIE_W00, self.inner),
                 ScaledMap(D1, self.d1_coeff),
                 ScaledMap(D2, self.d2_coeff),
                 ScaledMap(D3, self.d3_coeff),
@@ -335,8 +315,8 @@ def decompose_derivation(d: LinearMap, window: Window):
     n_max = window.n_max
     if n_max < 3:
         raise ValueError("decomposition needs a window radius of at least 3")
-    kind = AlgebraKind.W00
-    x_keys = [k for k in basis_window(2 * n_max, False) if k != I(0)]
+    product = LIE_W00
+    x_keys = [k for k in product.window_keys(2 * n_max) if k != I(0)]
     labels = [("x", k) for k in x_keys] + [("coef", t) for t in ("d1", "d2", "d3")]
     ids = {label: n for n, label in enumerate(labels)}
     outer = {"d1": D1, "d2": D2, "d3": D3}
@@ -344,12 +324,12 @@ def decompose_derivation(d: LinearMap, window: Window):
     # Per output coordinate: ad(x)(b0) + sum of c*d(b0) - d(b0) = 0, with
     # the constant term in the column past the last unknown.  A tabular d
     # raises DomainNotCovered at its first uncovered interior key.
-    interior = basis_window(n_max - 1, False)
+    interior = product.window_keys(n_max - 1)
     const = len(labels)
     system = LinearSystem(const)
     for b0 in interior:
         for xk in x_keys:
-            for w, value in bracket_keys(kind, xk, b0).items():
+            for w, value in product.mul_keys(xk, b0).items():
                 system.add(w, ids[("x", xk)], value)
         for tag, mp in outer.items():
             for w, value in mp.apply_key(b0).items():

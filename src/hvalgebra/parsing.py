@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bimaps import BilinearMap, Inner, Omega, ROmega, SumBilinear, TabularBilinear
-from .core import AlgebraKind, BasisKey, C1, C2, C3, Element, I, L
+from .core import LIE_HV, BasisKey, C1, C2, C3, Element, I, L, LieProduct
 from .errors import ParseError
 from .linmaps import (
     D1,
@@ -302,26 +302,24 @@ def parse_omega(text: str) -> Omega:
     return _parse_all(text, "omega")
 
 
-def evaluate_expression(node, kind: AlgebraKind, ls_product=None) -> Element:
-    """Evaluate a parsed expression; 'o' needs a left-symmetric product."""
-    from .core import bracket
-
+def evaluate_expression(node, lie: LieProduct, ls_product=None) -> Element:
+    """Evaluate a parsed expression: '[x, y]' is the bracket ``lie``, and
+    'o' needs a left-symmetric product."""
     tag = node[0]
     if tag == "basis":
         return Element.basis(node[1])
     if tag == "scaled":
-        return evaluate_expression(node[2], kind, ls_product).scaled(node[1])
+        return evaluate_expression(node[2], lie, ls_product).scaled(node[1])
     if tag == "sum":
         out = Element.zero()
         for negate, part in node[1]:
-            value = evaluate_expression(part, kind, ls_product)
+            value = evaluate_expression(part, lie, ls_product)
             out = out - value if negate else out + value
         return out
     if tag == "bracket":
-        return bracket(
-            kind,
-            evaluate_expression(node[1], kind, ls_product),
-            evaluate_expression(node[2], kind, ls_product),
+        return lie.mul(
+            evaluate_expression(node[1], lie, ls_product),
+            evaluate_expression(node[2], lie, ls_product),
         )
     if tag == "dot":
         if ls_product is None:
@@ -329,8 +327,8 @@ def evaluate_expression(node, kind: AlgebraKind, ls_product=None) -> Element:
                 "the 'o' product needs left-symmetric parameters (--epsilon)"
             )
         return ls_product.mul(
-            evaluate_expression(node[1], kind, ls_product),
-            evaluate_expression(node[2], kind, ls_product),
+            evaluate_expression(node[1], lie, ls_product),
+            evaluate_expression(node[2], lie, ls_product),
         )
     raise ValueError(f"unknown expression node {tag!r}")
 
@@ -353,8 +351,9 @@ def _no_duplicate(table, key):
         raise ParseError(f"duplicate entry for {key}")
 
 
-def parse_linear_map_file(text: str, kind: AlgebraKind = AlgebraKind.HV) -> LinearMap:
-    """Build a linear map from tabular lines and directives."""
+def parse_linear_map_file(text: str, lie: LieProduct = LIE_HV) -> LinearMap:
+    """Build a linear map from tabular lines and directives; '@inner x' is
+    ad(x) under the bracket ``lie``."""
     table = {}
     domain = []
     central = {}
@@ -365,7 +364,7 @@ def parse_linear_map_file(text: str, kind: AlgebraKind = AlgebraKind.HV) -> Line
                 directive, _, rest = line.partition(" ")
                 rest = rest.strip()
                 if directive == "@inner":
-                    parts.append(InnerAd(kind, parse_element(rest)))
+                    parts.append(InnerAd(lie, parse_element(rest)))
                 elif directive in ("@d1", "@d2", "@d3"):
                     base = {"@d1": D1, "@d2": D2, "@d3": D3}[directive]
                     parts.append(ScaledMap(base, parse_scalar(rest)))

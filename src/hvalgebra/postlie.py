@@ -15,7 +15,7 @@ vanishes.
 
 from __future__ import annotations
 
-from .core import AlgebraKind, Element, L, LIE_HV, bracket
+from .core import Element, L, LIE_HV
 from .bimaps import BilinearMap, Omega, ROmega
 from .linmaps import CheckReport, Counterexample, Window, collect_report, leibniz_residual
 
@@ -42,7 +42,7 @@ def is_commutative_postlie(f: BilinearMap, window: Window) -> CheckReport:
             residual = f.eval_keys(product, x, y) - f.eval_keys(product, y, x)
         elif tag == "lie-action":
             ex, ey, ez = Element.basis(x), Element.basis(y), Element.basis(z)
-            lhs = f.eval(product, bracket(AlgebraKind.HV, ex, ey), ez)
+            lhs = f.eval(product, product.mul(ex, ey), ez)
             rhs = f.eval(product, ex, f.eval(product, ey, ez)) - f.eval(
                 product, ey, f.eval(product, ex, ez)
             )
@@ -64,7 +64,7 @@ def postlie_residual(omega: Omega) -> Element:
     f = ROmega(omega)
     product = LIE_HV
     x, y, z = Element.basis(L(2)), Element.basis(L(1)), Element.basis(L(3))
-    lhs = f.eval(product, bracket(AlgebraKind.HV, x, y), z)
+    lhs = f.eval(product, product.mul(x, y), z)
     rhs = f.eval(product, x, f.eval(product, y, z)) - f.eval(
         product, y, f.eval(product, x, z)
     )

@@ -23,6 +23,23 @@ def test_eval_prints_the_value_alone(capsys):
     assert out == "4*L(0)\n"
 
 
+@pytest.mark.parametrize(
+    "product, full",
+    [("lie-hv", True), ("lie-w00", False), ("leftsym", True), ("leftsym-quotient", False)],
+)
+@pytest.mark.parametrize("epsilon", [(), ("--epsilon", "1")], ids=["bracket", "with-epsilon"])
+def test_eval_algebra_follows_the_product(capsys, product, full, epsilon):
+    """--product alone picks the full algebra or its quotient, for the
+    bracket and for 'o' alike; --epsilon only supplies the parameters."""
+    code, out, _ = run(capsys, "eval", "[L(2), L(-2)]", "--product", product, *epsilon)
+    assert code == 0
+    assert out == ("4*L(0) + 1/2*C1\n" if full else "4*L(0)\n")
+    if epsilon:
+        code, out, _ = run(capsys, "eval", "L(2) o L(-2)", "--product", product, *epsilon)
+        assert code == 0
+        assert out == ("-2*L(0) + 1/4*C1\n" if full else "-2*L(0)\n")
+
+
 def test_eval_dot_product_needs_epsilon(capsys):
     code, out, _ = run(
         capsys, "eval", "L(1) o L(1)", "--epsilon", "(1+1i)"

@@ -8,7 +8,7 @@ from hvalgebra.commuting import (
     make_commuting,
     solve_commuting,
 )
-from hvalgebra.core import AlgebraKind, C1, C2, Element, I, L
+from hvalgebra.core import LIE_HV, C1, C2, Element, I, L
 from hvalgebra.linalg import span_equal
 from hvalgebra.linmaps import D3, InnerAd, Window
 from hvalgebra.scalars import Scalar
@@ -50,7 +50,7 @@ def test_polarized_residuals_of_non_commuting_maps():
     ).residual
     assert residual == Element({I(0): 2, C2: -2})
 
-    report = is_commuting(InnerAd(AlgebraKind.HV, Element.basis(L(1))), Window(2))
+    report = is_commuting(InnerAd(LIE_HV, Element.basis(L(1))), Window(2))
     assert not report.passed
     assert report.counterexamples[0].inputs == (L(-2), L(-2))
     assert report.counterexamples[0].residual == Element({L(-3): 6})

@@ -6,28 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hvalgebra
 from hvalgebra.core import (
     C1,
     C2,
     C3,
     LIE_HV,
     LIE_W00,
-    AlgebraKind,
     Element,
     I,
     L,
-    basis_window,
-    bracket,
-    bracket_keys,
-    center_basis,
-    project_w00,
 )
 from hvalgebra.errors import IndexOverflow
-from hvalgebra.linmaps import adjoint
 from hvalgebra.scalars import Scalar
 
-HV = AlgebraKind.HV
-W00 = AlgebraKind.W00
+HV = LIE_HV
+W00 = LIE_W00
 
 
 def E(key):
@@ -35,59 +29,44 @@ def E(key):
 
 
 def test_bracket_frozen_values():
-    assert bracket_keys(HV, L(2), L(-2)) == Element({L(0): 4, C1: Scalar(1, 0) / 2})
-    assert bracket_keys(HV, L(1), I(-1)) == Element({I(0): 1, C2: -2})
-    assert bracket_keys(HV, I(3), I(-3)) == Element({C3: 3})
-    assert bracket_keys(HV, C1, L(5)).is_zero()
-    assert bracket_keys(HV, L(1), L(-1)) == Element({L(0): 2})
-    assert bracket_keys(HV, L(3), L(4)) == Element({L(7): -1})
-    assert bracket_keys(HV, L(2), I(5)) == Element({I(7): -5})
-    assert bracket_keys(HV, I(0), I(5)).is_zero()
+    assert HV.mul_keys(L(2), L(-2)) == Element({L(0): 4, C1: Scalar(1, 0) / 2})
+    assert HV.mul_keys(L(1), I(-1)) == Element({I(0): 1, C2: -2})
+    assert HV.mul_keys(I(3), I(-3)) == Element({C3: 3})
+    assert HV.mul_keys(C1, L(5)).is_zero()
+    assert HV.mul_keys(L(1), L(-1)) == Element({L(0): 2})
+    assert HV.mul_keys(L(3), L(4)) == Element({L(7): -1})
+    assert HV.mul_keys(L(2), I(5)) == Element({I(7): -5})
+    assert HV.mul_keys(I(0), I(5)).is_zero()
 
 
 def test_quotient_bracket_drops_central_terms():
-    assert bracket_keys(W00, L(2), L(-2)) == Element({L(0): 4})
-    assert bracket_keys(W00, L(1), I(-1)) == Element({I(0): 1})
-    assert bracket_keys(W00, I(3), I(-3)).is_zero()
+    assert W00.mul_keys(L(2), L(-2)) == Element({L(0): 4})
+    assert W00.mul_keys(L(1), I(-1)) == Element({I(0): 1})
+    assert W00.mul_keys(I(3), I(-3)).is_zero()
 
 
 def test_quotient_rejects_central_keys():
     with pytest.raises(ValueError):
-        bracket_keys(W00, C1, L(0))
+        W00.mul_keys(C1, L(0))
     with pytest.raises(ValueError):
-        bracket(W00, E(L(1)), E(C3))
-
-
-def test_kind_arguments_reject_a_product():
-    cached = bracket_keys.cache_info().currsize
-    calls = [
-        lambda: bracket_keys(LIE_W00, C1, L(1)),
-        lambda: bracket_keys(LIE_HV, L(1), L(2)),
-        lambda: bracket(LIE_HV, E(L(1)), E(L(2))),
-        lambda: center_basis(LIE_HV),
-        lambda: adjoint(LIE_W00, E(L(1))),
-    ]
-    for call in calls:
-        with pytest.raises(TypeError, match="expected an AlgebraKind, got LieProduct"):
-            call()
-    assert bracket_keys.cache_info().currsize == cached
+        W00.mul(E(L(1)), E(C3))
 
 
 def test_antisymmetry_window_8():
-    keys = basis_window(8, include_central=True)
+    keys = HV.window_keys(8)
     for a, b in itertools.product(keys, repeat=2):
-        assert bracket_keys(HV, a, b) == -bracket_keys(HV, b, a)
+        assert HV.mul_keys(a, b) == -HV.mul_keys(b, a)
 
 
 def test_jacobi_window_3_both_kinds():
-    for kind in (HV, W00):
-        keys = basis_window(3, include_central=kind is HV)
+    for product in (HV, W00):
+        keys = product.window_keys(3)
         for a, b, c in itertools.product(keys, repeat=3):
             x, y, z = E(a), E(b), E(c)
             total = (
-                bracket(kind, x, bracket(kind, y, z))
-                + bracket(kind, y, bracket(kind, z, x))
-                + bracket(kind, z, bracket(kind, x, y))
+                product.mul(x, product.mul(y, z))
+                + product.mul(y, product.mul(z, x))
+                + product.mul(z, product.mul(x, y))
             )
             assert total.is_zero(), (a, b, c)
 
@@ -102,32 +81,32 @@ small_elements = st.dictionaries(
 @settings(max_examples=50)
 @given(small_elements, small_elements, st.integers(-9, 9), st.integers(-9, 9))
 def test_bracket_bilinearity(x, y, a, b):
-    left = bracket(HV, x.scaled(a) + y.scaled(b), x + y)
+    left = HV.mul(x.scaled(a) + y.scaled(b), x + y)
     expanded = (
-        bracket(HV, x, x).scaled(a)
-        + bracket(HV, x, y).scaled(a)
-        + bracket(HV, y, x).scaled(b)
-        + bracket(HV, y, y).scaled(b)
+        HV.mul(x, x).scaled(a)
+        + HV.mul(x, y).scaled(a)
+        + HV.mul(y, x).scaled(b)
+        + HV.mul(y, y).scaled(b)
     )
     assert left == expanded
 
 
 def test_center_annihilates():
-    assert [str(c) for c in center_basis(HV)] == ["I(0)", "C1", "C2", "C3"]
-    assert [str(c) for c in center_basis(W00)] == ["I(0)"]
-    window = basis_window(6, include_central=True)
-    for c in center_basis(HV):
+    assert [str(c) for c in HV.center_basis()] == ["I(0)", "C1", "C2", "C3"]
+    assert [str(c) for c in W00.center_basis()] == ["I(0)"]
+    window = HV.window_keys(6)
+    for c in HV.center_basis():
         for b in window:
-            assert bracket(HV, c, E(b)).is_zero()
+            assert HV.mul(c, E(b)).is_zero()
 
 
 def test_quotient_projection_is_a_homomorphism():
-    assert project_w00(Element({L(0): 4, C1: Scalar(1, 0) / 2})) == Element({L(0): 4})
-    assert project_w00(E(C3)).is_zero()
-    keys = basis_window(6, include_central=False)
+    assert Element({L(0): 4, C1: Scalar(1, 0) / 2}).noncentral() == Element({L(0): 4})
+    assert E(C3).noncentral().is_zero()
+    keys = HV.window_keys(6, central=False)
     for a, b in itertools.product(keys, repeat=2):
-        full = project_w00(bracket(HV, E(a), E(b)))
-        reduced = bracket(W00, project_w00(E(a)), project_w00(E(b)))
+        full = HV.mul(E(a), E(b)).noncentral()
+        reduced = W00.mul(E(a).noncentral(), E(b).noncentral())
         assert full == reduced, (a, b)
 
 
@@ -156,18 +135,27 @@ def test_element_algebra():
 
 
 def test_basis_window_order_and_size():
-    keys = basis_window(2, include_central=True)
+    keys = HV.window_keys(2)
     assert [str(k) for k in keys] == [
         "L(-2)", "L(-1)", "L(0)", "L(1)", "L(2)",
         "I(-2)", "I(-1)", "I(0)", "I(1)", "I(2)",
         "C1", "C2", "C3",
     ]
-    assert len(basis_window(6, include_central=False)) == 26
+    assert len(HV.window_keys(6, central=False)) == 26
 
 
 def test_index_overflow_guard():
     big = 2**62
     with pytest.raises(IndexOverflow):
-        bracket_keys(HV, L(big + 1), L(big))
+        HV.mul_keys(L(big + 1), L(big))
     with pytest.raises(IndexOverflow):
         L(2**63)
+
+
+def test_exported_names_resolve():
+    for name in hvalgebra.__all__:
+        assert getattr(hvalgebra, name) is not None, name
+    removed = {"AlgebraKind", "bracket", "bracket_keys", "center_basis",
+               "basis_window", "adjoint", "project_w00"}
+    assert not removed & set(hvalgebra.__all__)
+    assert not [name for name in removed if hasattr(hvalgebra, name)]

@@ -6,10 +6,15 @@ Each command runs in-process through main(argv).  The two header lines
 stdout, final newline included, is compared with a recorded digest.  The
 first checker entries fail on purpose, so their counterexample lists (and
 their order) are pinned too.  The "skip-" entries check partial tables,
-so their exact checked and skipped counts are pinned as well.
+so their exact checked and skipped counts are pinned as well.  The demos
+run as scripts, and their whole stdout is pinned the same way.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +140,32 @@ def test_report_digest(argv, digest, code, tmp_path, capsys):
     out = capsys.readouterr().out
     body = out.split("\n", 2)[2]
     assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
+
+# sha256 of each demo's full stdout
+DEMO_DIGESTS = [
+    ("01_brackets_and_center.py",
+     "48090b5f3b7c277be60d3206b22f071e7f68d01b0d2ccd4a47b68d6a8ac7b094"),
+    ("02_biderivation_family.py",
+     "b2890fad2eaacbb7d4ae3d87197df2169bcc4e1a5d3201d946c00c46bd2e189e"),
+    ("03_derivations_and_commuting_maps.py",
+     "4b2ba42653eb703fbfb97f8666f8b75871e43256c3432a4f234660da75e7b831"),
+    ("04_left_symmetric_products.py",
+     "5337109d24638b6c45977714b60a4d84bacadddc6466348551cd79d4b07cd375"),
+]
+
+
+@pytest.mark.parametrize("name, digest", DEMO_DIGESTS, ids=["01", "02", "03", "04"])
+def test_demo_digest(name, digest):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / name)],
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hvalgebra.bimaps import Inner, Omega, ROmega, SumBilinear, TabularBilinear
-from hvalgebra.core import AlgebraKind, C1, C2, C3, Element, I, L, LIE_HV
-from hvalgebra.errors import ParseError
+from hvalgebra.core import C1, C2, C3, Element, I, L, LIE_HV, LIE_W00
+from hvalgebra.errors import DomainNotCovered, ParseError
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linmaps import CentralMap, SumMap, TabularMap
 from hvalgebra.parsing import (
@@ -104,13 +104,13 @@ def test_error_positions():
         parse_scalar("1/0")
 
 
-def _eval(text, kind=AlgebraKind.HV, ls_product=None):
-    return evaluate_expression(parse_expression(text), kind, ls_product)
+def _eval(text, lie=LIE_HV, ls_product=None):
+    return evaluate_expression(parse_expression(text), lie, ls_product)
 
 
 def test_expression_evaluation():
     assert _eval("[L(2), L(-2)]") == Element({L(0): 4, C1: Scalar(Fraction(1, 2))})
-    assert _eval("[L(2), L(-2)]", AlgebraKind.W00) == Element({L(0): 4})
+    assert _eval("[L(2), L(-2)]", LIE_W00) == Element({L(0): 4})
     assert _eval("[L(1), [L(1), I(-2)]]") == Element({I(0): 2, C2: -4})
     assert _eval("3*[L(1), L(2)] - 2*L(3)") == Element({L(3): -5})
     assert _eval("2i*I(1) + [I(3), I(-3)]") == Element({I(1): Scalar(0, 2), C3: 3})
@@ -153,7 +153,8 @@ def test_linear_map_file():
     """
     phi = parse_linear_map_file(text)
     assert isinstance(phi, SumMap)
-    assert phi.covers(L(0)) and phi.covers(I(1)) and not phi.covers(L(2))
+    with pytest.raises(DomainNotCovered):
+        phi.apply_key(L(2))
     # 2*L(0) + 3*L(0) + (1+i)*0 + [L(1), L(0)] + (C1 + 2*C2)
     assert phi(Element.basis(L(0))) == Element(
         {L(0): 5, L(1): 1, C1: 1, C2: 2}
@@ -168,7 +169,8 @@ def test_linear_map_file_single_directive():
     assert phi(Element.basis(I(0))) == Element({C3: 2})
     phi = parse_linear_map_file("")
     assert isinstance(phi, TabularMap)
-    assert not phi.covers(L(0))
+    with pytest.raises(DomainNotCovered):
+        phi.apply_key(L(0))
 
 
 def test_linear_map_file_errors():
@@ -191,7 +193,8 @@ def test_bilinear_map_file():
     assert isinstance(f, SumBilinear)
     # I(3) + 2*[L(1), L(2)] + I(3)
     assert f.eval_keys(LIE_HV, L(1), L(2)) == Element({I(3): 2, L(3): -2})
-    assert f.covers(L(1), L(2)) and not f.covers(L(1), L(3))
+    with pytest.raises(DomainNotCovered):
+        f.eval_keys(LIE_HV, L(1), L(3))
 
     only = parse_bilinear_map_file("@romega { 1: 2 }")
     assert isinstance(only, ROmega)
