@@ -19,9 +19,6 @@ from __future__ import annotations
 from functools import partial
 
 from .core import (
-    C1,
-    C2,
-    C3,
     BasisKey,
     Element,
     I,
@@ -33,7 +30,7 @@ from .core import (
 )
 from .errors import DomainNotCovered
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
-from .linmaps import CheckReport, Counterexample, Window, collect_report, leibniz_residual
+from .linmaps import CheckReport, Window, collect_report, leibniz_residual
 from .scalars import Scalar
 
 
@@ -190,28 +187,20 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     """
     keys = product.window_keys(window.n_max)
     instances = (
-        (x, y, z, eq)
+        ((x, y, z), eq)
         for x in keys
         for y in keys
         for z in keys
         for eq in ("first-slot", "second-slot")
     )
 
-    def check(instance):
-        x, y, z, eq = instance
+    def residual(xyz, eq):
+        x, y, z = xyz
         if eq == "first-slot":
-            residual = leibniz_residual(
-                product, lambda k: f.eval_keys(product, k, z), x, y
-            )
-        else:
-            residual = leibniz_residual(
-                product, lambda k: f.eval_keys(product, x, k), y, z
-            )
-        if residual.is_zero():
-            return ()
-        return (Counterexample((x, y, z), eq, residual),)
+            return leibniz_residual(product, lambda k: f.eval_keys(product, k, z), x, y)
+        return leibniz_residual(product, lambda k: f.eval_keys(product, x, k), y, z)
 
-    return collect_report(check, instances)
+    return collect_report(residual, instances)
 
 
 def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> str:
@@ -242,36 +231,27 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
 
 
 def central_annihilation(f: BilinearMap, product: Product, window: Window) -> CheckReport:
-    """Check that f vanishes against the center in both argument slots."""
+    """Check that f vanishes against the center in both argument slots,
+    one instance per slot."""
     if not isinstance(product, LieProduct):
         raise ValueError("central annihilation is defined for the Lie products")
     keys = product.window_keys(window.n_max)
-    centers = product.center_basis()
-    instances = ((b, c) for b in keys for c in centers)
+    centers = [c.support()[0] for c in product.center_basis()]
+    slots = ("center-left", "center-right")
+    instances = (((b, c), eq) for b in keys for c in centers for eq in slots)
 
-    def check(instance):
-        b, c = instance
-        belt = Element.basis(b)
-        bad = []
-        left = f.eval(product, c, belt)
-        if left:
-            bad.append(Counterexample((b, c.support()[0]), "center-left", left))
-        right = f.eval(product, belt, c)
-        if right:
-            bad.append(Counterexample((b, c.support()[0]), "center-right", right))
-        return tuple(bad)
+    def residual(pair, eq):
+        b, c = pair
+        if eq == "center-left":
+            return f.eval_keys(product, c, b)
+        return f.eval_keys(product, b, c)
 
-    return collect_report(check, instances)
+    return collect_report(residual, instances)
 
 
 # ---------------------------------------------------------------------------
 # The windowed solver.
 # ---------------------------------------------------------------------------
-
-
-def _render_f_label(label):
-    _, p, q, u = label
-    return f"f({p},{q}) : {u}"
 
 
 def _out_keys(product: Product, s: int, out_bound: int, degree):
@@ -321,7 +301,7 @@ def solve_biderivations(
     if out_bound < 2 * n_max:
         raise ValueError("output bound must be at least twice the window radius")
     domain = product.window_keys(n_max, central=False)
-    registry = VarRegistry(renderer=_render_f_label)
+    registry = VarRegistry()
     out_cache = {}
 
     def out_keys(s: int):

@@ -14,7 +14,6 @@ from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import (
     CentralMap,
     CheckReport,
-    Counterexample,
     LinearMap,
     ScalarId,
     SumMap,
@@ -32,22 +31,14 @@ def make_commuting(coeff, table=None) -> LinearMap:
 def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     """Exhaustive polarized check over unordered window pairs."""
     keys = LIE_HV.window_keys(window.n_max)
-    pairs = ((a, b) for i, a in enumerate(keys) for b in keys[i:])
+    pairs = (((a, b), "polarized") for i, a in enumerate(keys) for b in keys[i:])
 
-    def check(pair):
+    def residual(pair, _):
         a, b = pair
         ea, eb = Element.basis(a), Element.basis(b)
-        residual = LIE_HV.mul(phi(ea), eb) + LIE_HV.mul(phi(eb), ea)
-        if residual.is_zero():
-            return ()
-        return (Counterexample((a, b), "polarized", residual),)
+        return LIE_HV.mul(phi(ea), eb) + LIE_HV.mul(phi(eb), ea)
 
-    return collect_report(check, pairs)
-
-
-def _render_phi_label(label):
-    _, b, u = label
-    return f"phi({b}) : {u}"
+    return collect_report(residual, pairs)
 
 
 def solve_commuting(window: Window) -> SolutionSpace:
@@ -63,7 +54,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
     out_bound = 2 * n_max
     domain = LIE_HV.window_keys(n_max)
     out_keys = LIE_HV.window_keys(out_bound)
-    registry = VarRegistry(renderer=_render_phi_label)
+    registry = VarRegistry()
     for b in domain:
         for u in out_keys:
             registry.add(("phi", b, u))

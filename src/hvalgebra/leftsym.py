@@ -36,7 +36,7 @@ from .core import (
 )
 from .errors import ZeroDenominator
 from .linalg import SolutionSpace
-from .linmaps import CheckReport, Counterexample, LinearMap, Window, collect_report, is_derivation
+from .linmaps import CheckReport, LinearMap, Window, collect_report, is_derivation
 from .scalars import ONE, Scalar
 
 
@@ -137,24 +137,19 @@ def is_left_symmetric(params: LeftSymParams, window: Window, strata: str = "all"
         raise ValueError("strata must be 'all' or 'noncentral'")
     product = LeftSymProduct(params)
     keys = product.window_keys(window.n_max)
-    triples = ((x, y, z) for x in keys for y in keys for z in keys)
+    triples = (((x, y, z), "left-symmetric") for x in keys for y in keys for z in keys)
 
-    def check(triple):
-        x, y, z = triple
+    def residual(triple, _):
         ex, ey, ez = (Element.basis(k) for k in triple)
-        residual = (
+        value = (
             product.mul(product.mul(ex, ey), ez)
             - product.mul(ex, product.mul(ey, ez))
             - product.mul(product.mul(ey, ex), ez)
             + product.mul(ey, product.mul(ex, ez))
         )
-        if strata == "noncentral":
-            residual = residual.noncentral()
-        if residual.is_zero():
-            return ()
-        return (Counterexample((x, y, z), "left-symmetric", residual),)
+        return value.noncentral() if strata == "noncentral" else value
 
-    return collect_report(check, triples)
+    return collect_report(residual, triples)
 
 
 @dataclass(frozen=True)

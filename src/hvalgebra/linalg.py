@@ -25,15 +25,15 @@ from .scalars import Scalar, accumulate
 class VarRegistry:
     """Append-only bijection between semantic labels and dense variable ids.
 
-    Labels are hashable tuples describing the unknown (for instance
+    Labels are hashable tuples describing the unknown: the solvers use
+    ``(tag, *argument keys, output key)``, for instance
     ``("f", L(1), L(2), I(3))`` for one output coordinate of a bilinear
-    map); the optional renderer turns a label into report text.
+    map.
     """
 
-    def __init__(self, renderer=None):
+    def __init__(self):
         self._labels = []
         self._ids = {}
-        self._renderer = renderer or (lambda label: str(label))
 
     def add(self, label) -> int:
         if label in self._ids:
@@ -54,9 +54,6 @@ class VarRegistry:
 
     def labels(self):
         return tuple(self._labels)
-
-    def render(self, vid: int) -> str:
-        return self._renderer(self._labels[vid])
 
     def __len__(self):
         return len(self._labels)
@@ -135,25 +132,17 @@ def nullspace(rows, ncols: int) -> list:
 def solve_affine(rows, nvars: int):
     """Solve an inhomogeneous sparse system exactly.
 
-    ``rows`` is an iterable of (coefficients, rhs) pairs.  Returns the
-    particular solution with all free variables set to zero, or None when
-    the system is inconsistent.
+    Each row holds its constant term in column ``nvars`` and states
+    sum(row[c] * x[c]) + row[nvars] = 0.  Returns the particular solution
+    with all free variables set to zero, or None when the system is
+    inconsistent.
     """
-    sentinel = nvars
-    augmented = []
-    for coeffs, rhs in rows:
-        row = dict(coeffs)
-        rhs = Scalar.coerce(rhs)
-        if rhs:
-            row[sentinel] = -rhs
-        if row:
-            augmented.append(row)
     solution = {}
-    for row in rref(augmented):
+    for row in rref(rows):
         lead = min(row)
-        if lead == sentinel:
+        if lead == nvars:
             return None
-        c = row.get(sentinel)
+        c = row.get(nvars)
         if c is not None:
             solution[lead] = -c
     return solution
@@ -225,11 +214,8 @@ class LinearSystem:
 
     def solve_affine(self):
         """Particular solution (or None) of the inhomogeneous system whose
-        constant terms sit in column ``ncols``: each row states
-        sum(row[c] * x[c]) + row[ncols] = 0.  That column is solve_affine's
-        own sentinel, so the rows pass through with a zero right-hand side.
-        """
-        return solve_affine([(row, 0) for row in self.rows], self.ncols)
+        constant terms sit in column ``ncols``."""
+        return solve_affine(self.rows, self.ncols)
 
 
 class SolutionSpace:

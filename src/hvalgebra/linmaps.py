@@ -82,30 +82,37 @@ class CheckReport:
         )
 
 
-def collect_report(worker, items) -> CheckReport:
-    """Run a per-item verdict function and fold the results into a report.
+def collect_report(residual, instances) -> CheckReport:
+    """Evaluate a residual on every instance and fold the results into a report.
 
-    ``worker`` returns a tuple of Counterexamples, empty for a pass.  An
-    item whose evaluation raises DomainNotCovered counts as skipped: this
-    is the one place a check decides a skip.  ``items`` is consumed once,
-    in order, so a checker can stream its instances from a generator.
+    Each instance is an ``(inputs, equation)`` pair and its residual is
+    ``residual(inputs, equation)``; a nonzero one becomes a Counterexample.
+    An instance whose evaluation raises DomainNotCovered counts as skipped:
+    this is the one place a check decides a skip, and the one place it
+    builds a Counterexample.  ``instances`` is consumed once, in order, so
+    a checker can stream them from a generator.
     """
 
-    def verdict(item):
+    def verdict(instance):
+        inputs, equation = instance
         try:
-            return worker(item)
+            value = residual(inputs, equation)
         except DomainNotCovered:
             return None
+        if value.is_zero():
+            return ()
+        return Counterexample(inputs, equation, value)
 
     checked = 0
     skipped = 0
     counterexamples = []
-    for found in run_ordered(verdict, items):
+    for found in run_ordered(verdict, instances):
         if found is None:
             skipped += 1
         else:
             checked += 1
-            counterexamples.extend(found)
+            if found:
+                counterexamples.append(found)
     return CheckReport(checked, skipped, tuple(counterexamples))
 
 
@@ -264,15 +271,10 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
     domain are counted as skipped, never as failures.
     """
     keys = product.window_keys(window.n_max)
-    pairs = ((a, b) for a in keys for b in keys)
-
-    def check(pair):
-        residual = leibniz_residual(product, m.apply_key, *pair)
-        if residual.is_zero():
-            return ()
-        return (Counterexample(pair, "leibniz", residual),)
-
-    return collect_report(check, pairs)
+    pairs = (((a, b), "leibniz") for a in keys for b in keys)
+    return collect_report(
+        lambda pair, _: leibniz_residual(product, m.apply_key, *pair), pairs
+    )
 
 
 @dataclass(frozen=True)

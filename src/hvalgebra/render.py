@@ -27,19 +27,26 @@ def render_check_report(report: CheckReport, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
+def _render_label(label) -> str:
+    """A solver unknown ``(tag, *argument keys, output key)`` as
+    ``tag(a,b) : out``."""
+    tag, *args, out = label
+    return f"{tag}({','.join(map(str, args))}) : {out}"
+
+
 def render_solution_space(space: SolutionSpace, fmt: str = "text") -> str:
-    registry = space.registry
+    label_of = space.registry.label_of
     if fmt == "machine":
         lines = [f"dimension={space.dimension}"]
         for i, vector in enumerate(space.basis):
             for vid in sorted(vector):
-                lines.append(f"v{i}\t{registry.render(vid)}\t{vector[vid]}")
+                lines.append(f"v{i}\t{_render_label(label_of(vid))}\t{vector[vid]}")
         return "\n".join(lines)
     lines = [f"dimension: {space.dimension}"]
     for i, vector in enumerate(space.basis):
         lines.append(f"vector {i}:")
         for vid in sorted(vector):
-            lines.append(f"  {registry.render(vid)} = {vector[vid]}")
+            lines.append(f"  {_render_label(label_of(vid))} = {vector[vid]}")
     return "\n".join(lines)
 
 

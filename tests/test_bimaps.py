@@ -150,6 +150,19 @@ def test_central_annihilation():
     assert report.counterexamples[0].inputs == (L(0), C1)
 
 
+def test_central_annihilation_counts_each_slot():
+    # 9 window keys x 4 centers, one instance per slot
+    f = Classified(Scalar(3), Omega({1: 2}))
+    report = central_annihilation(f, LIE_HV, Window(1))
+    assert (report.checked, report.skipped) == (72, 0)
+    bad = TabularBilinear({(L(0), C1): E(L(0))}, domain=[L(0), C1])
+    report = central_annihilation(bad, LIE_HV, Window(1))
+    assert (report.checked, report.skipped) == (4, 68)
+    assert [str(c) for c in report.counterexamples] == [
+        "(L(0), C1) [center-right] residual = L(0)"
+    ]
+
+
 def test_solver_validates_its_window():
     with pytest.raises(ValueError):
         solve_biderivations(LIE_HV, Window(3), 5)

@@ -159,3 +159,10 @@ def test_exported_names_resolve():
                "basis_window", "adjoint", "project_w00"}
     assert not removed & set(hvalgebra.__all__)
     assert not [name for name in removed if hasattr(hvalgebra, name)]
+
+
+def test_lie_product_is_exported():
+    # InnerAd, evaluate_expression, parse_linear_map_file and
+    # central_annihilation all take a LieProduct
+    assert "LieProduct" in hvalgebra.__all__
+    assert hvalgebra.LieProduct is hvalgebra.core.LieProduct

@@ -225,14 +225,15 @@ def test_row_keys_are_equal_exactly_for_rank_one_pairs(pair):
 
 
 def test_solve_affine():
+    # each row holds its constant term in column nvars: row . (x, 1) = 0
     # x + y = 3, y = 1  ->  x = 2 with no free variables involved
-    rows = [({0: Scalar(1), 1: Scalar(1)}, 3), ({1: Scalar(1)}, 1)]
+    rows = S([{0: 1, 1: 1, 2: -3}, {1: 1, 2: -1}])
     assert solve_affine(rows, 2) == {0: Scalar(2), 1: Scalar(1)}
     # inconsistent
-    rows = [({0: Scalar(1)}, 1), ({0: Scalar(1)}, 2)]
+    rows = S([{0: 1, 1: -1}, {0: 1, 1: -2}])
     assert solve_affine(rows, 1) is None
     # underdetermined: free variables default to zero
-    rows = [({0: Scalar(1), 1: Scalar(2)}, 4)]
+    rows = S([{0: 1, 1: 2, 2: -4}])
     assert solve_affine(rows, 2) == {0: Scalar(4)}
 
 

@@ -195,19 +195,32 @@ def test_derivation_check_is_deterministic():
 
 
 def test_collect_report_skips_only_uncovered_items():
-    def worker(n):
+    def residual(inputs, equation):
+        (n,) = inputs
         if n % 3 == 0:
             raise DomainNotCovered(n)
-        return ()
+        return Element.zero()
 
-    report = collect_report(worker, range(10))
+    instances = (((n,), "eq") for n in range(10))
+    report = collect_report(residual, instances)
     assert (report.checked, report.skipped) == (6, 4)
     assert report.passed
 
-    def broken(n):
-        if n == 5:
-            raise ZeroDivisionError(n)
-        return ()
+    def broken(inputs, equation):
+        if inputs == (5,):
+            raise ZeroDivisionError(inputs)
+        return Element.zero()
 
     with pytest.raises(ZeroDivisionError):
-        collect_report(broken, range(10))
+        collect_report(broken, (((n,), "eq") for n in range(10)))
+
+    def odd(inputs, equation):
+        (n,) = inputs
+        return Element.basis(L(n)) if n % 2 else Element.zero()
+
+    tags = ("left", "right")
+    report = collect_report(odd, (((n,), tags[n % 2]) for n in range(6)))
+    assert (report.checked, report.skipped) == (6, 0)
+    assert [(c.inputs, c.equation, c.residual) for c in report.counterexamples] == [
+        ((n,), "right", E(L(n))) for n in (1, 3, 5)
+    ]
