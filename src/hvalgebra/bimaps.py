@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import partial
 
 from .core import (
+    LIE_HV,
     BasisKey,
     Element,
     I,
@@ -30,7 +31,7 @@ from .core import (
 )
 from .errors import DomainNotCovered
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
-from .linmaps import CheckReport, Window, collect_report, leibniz_residual
+from .linmaps import CheckReport, Window, admission, collect_report, leibniz_residual
 from .scalars import Scalar
 
 
@@ -134,30 +135,18 @@ class Classified(BilinearMap):
 
 
 class TabularBilinear(BilinearMap):
-    """A bilinear map recorded on a finite window of argument keys.
+    """A bilinear map known on exactly the argument ``pairs`` it is given.
 
-    ``out_degree``/``out_bound`` record partial output knowledge for maps
-    rehydrated from a graded windowed solve: such a table only knows the
-    value of the single graded output slice, and only while its index
-    stays within the bound, so pairs pushed past the bound are reported
-    as not covered rather than silently zero.
+    A covered pair missing from ``table`` has value zero; any other pair
+    raises DomainNotCovered.
     """
 
-    def __init__(self, table, domain, out_degree=None, out_bound=None):
+    def __init__(self, table, pairs):
         self.table = {pair: value for pair, value in table.items() if value}
-        self.domain = frozenset(domain)
-        self.out_degree = out_degree
-        self.out_bound = out_bound
+        self.pairs = frozenset(pairs)
 
     def eval_keys(self, product, a, b):
-        covered = a in self.domain and b in self.domain
-        if covered and self.out_bound is not None and self.out_degree is not None:
-            covered = (
-                a.is_central
-                or b.is_central
-                or abs(a.index + b.index + self.out_degree) <= self.out_bound
-            )
-        if not covered:
+        if (a, b) not in self.pairs:
             raise DomainNotCovered((a, b))
         return self.table.get((a, b), Element.zero())
 
@@ -208,8 +197,6 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
 
     The zero map is both; it reports as "symmetric".
     """
-    from .core import LIE_HV
-
     product = product or LIE_HV
     keys = product.window_keys(window.n_max)
     symmetric = True
@@ -290,12 +277,9 @@ def solve_biderivations(
     restricted to the graded slice at index(p) + index(q) + degree.
 
     Row admission: an identity instance contributes only when the inner
-    product's support stays inside the window and every bilinear-map
-    value it references lies within the output bound; in ungraded mode a
-    per-coordinate filter additionally drops output coordinates that
-    could receive contributions from beyond-bound values.  Admitted rows
-    are exactly valid, so every true biderivation restricts to a
-    solution.
+    product's support stays inside the window, and its rows pass
+    ``admission``, graded or not, so every admitted row is exactly valid
+    and every true biderivation restricts to a solution.
     """
     n_max = window.n_max
     if out_bound < 2 * n_max:
@@ -318,50 +302,32 @@ def solve_biderivations(
     var_of = registry.id_of
     system = LinearSystem(len(registry))
     add = system.add
-
-    def exact(near1, near2):
-        """Ungraded admission for one identity instance.
-
-        ``near1``/``near2`` are the indices of the two window elements
-        multiplied against unknown values; an output coordinate w is only
-        exact when |w - near| <= out_bound for both, which excludes
-        contamination from beyond-bound values.
-        """
-        if degree is not None:
-            return None
-        return lambda w: w.is_central or (
-            abs(w.index) <= out_bound
-            and abs(w.index - near1) <= out_bound
-            and abs(w.index - near2) <= out_bound
-        )
-
     in_window = set(domain)
 
     def leibniz(a, b, c, var):
-        """Rows of g(a*b, c) = a*g(b, c) + g(a, c)*b, where var(p, q, u)
+        """Rows of a*g(b, c) + g(a, c)*b - g(a*b, c) = 0, where var(p, q, u)
         is the unknown of g(p, q) at output u.  The instance is dropped
-        when a*b leaves the window or some value it needs has no unknowns.
+        when a*b leaves the window.  A row at w is fed by g(b, c) at
+        w - index(a), by g(a, c) at w - index(b) and, when a*b has a
+        noncentral term, by g(a*b, c) at w itself.
         """
         prod = product.mul_keys(a, b)
         if not all(k.is_central or k in in_window for k in prod.support()):
             return
         ia, ib, ic = a.index, b.index, c.index
         nc = [kv for kv in prod.items() if not kv[0].is_central]
-        sums = [bt.index + ic for bt, _ in nc] + [ib + ic, ia + ic]
-        if not all(out_keys(s) for s in sums):
-            return
         for bt, coeff in nc:
             for u in out_keys(bt.index + ic):
-                add(u, var(bt, c, u), coeff)
+                add(u, var(bt, c, u), -coeff)
         for u in out_keys(ib + ic):
             vid = var(b, c, u)
             for w, coeff in product.mul_keys(a, u).items():
-                add(w, vid, -coeff)
+                add(w, vid, coeff)
         for u in out_keys(ia + ic):
             vid = var(a, c, u)
             for w, coeff in product.mul_keys(u, b).items():
-                add(w, vid, -coeff)
-        system.flush(exact(ia, ib))
+                add(w, vid, coeff)
+        system.flush(admission((ia, ib, 0) if nc else (ia, ib), out_bound))
 
     def f(p, q, u):
         return var_of(("f", p, q, u))
@@ -456,23 +422,29 @@ def classified_span(
 
 
 def rehydrate(space: SolutionSpace, index: int) -> TabularBilinear:
-    """Rebuild one solver basis vector as a tabular bilinear map.
+    """Rebuild one basis vector of a graded solve as a tabular bilinear map.
 
-    The table covers the solve's full argument window (central pairs are
-    pinned to zero) and records the graded output bound so checks skip
-    instances the solve could not represent.
+    The table covers the argument pairs the solve had unknowns for, plus
+    the pairs with a central argument, which the solve pins to zero; any
+    other pair is not covered.  An ungraded solve is refused: it has
+    unknowns for every window pair but none past the output bound, so its
+    table would read the values there as zero.
     """
-    product = space.meta["product"]
-    n_max = space.meta["n_max"]
+    if space.meta.get("degree") is None:
+        raise ValueError(
+            "rehydrate takes a graded solve: an ungraded table would read "
+            "every value past the output bound as zero"
+        )
+    registry = space.registry
+    keys = space.meta["product"].window_keys(space.meta["n_max"])
+    pairs = {label[1:3] for label in registry.labels()}
+    pairs.update((a, b) for a in keys for b in keys if a.is_central or b.is_central)
     table = {}
     for vid, value in space.basis[index].items():
-        _, p, q, u = space.registry.label_of(vid)
+        _, p, q, u = registry.label_of(vid)
         table.setdefault((p, q), {})[u] = value
     return TabularBilinear(
-        {pair: Element(coeffs) for pair, coeffs in table.items()},
-        domain=product.window_keys(n_max),
-        out_degree=space.meta.get("degree"),
-        out_bound=space.meta.get("out_bound"),
+        {pair: Element(coeffs) for pair, coeffs in table.items()}, pairs
     )
 
 

@@ -176,10 +176,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser, window=True):
-    if window:
-        parser.add_argument("--window", type=int, required=True, metavar="N",
-                            help="check/solve on basis indices |n| <= N")
+def _add_common(parser):
+    parser.add_argument("--window", type=int, required=True, metavar="N",
+                        help="check/solve on basis indices |n| <= N")
     parser.add_argument("--jobs", type=positive_int, default=1,
                         help="accepted for compatibility and changes nothing "
                         "(work runs serially); at least 1")

@@ -18,6 +18,7 @@ from .linmaps import (
     ScalarId,
     SumMap,
     Window,
+    admission,
     collect_report,
 )
 from .scalars import Scalar
@@ -46,9 +47,11 @@ def solve_commuting(window: Window) -> SolutionSpace:
 
     Unknowns are the coefficients of phi(b) over output keys with index
     magnitude at most 2*n_max plus the central symbols, for every window
-    key b (central symbols included).  An output coordinate row is only
-    admitted when it cannot receive contributions from beyond-bound
-    values of phi, so every true commuting map restricts to a solution.
+    key b (central symbols included).  The pair (a, b) feeds the output
+    coordinate w from phi(a) at w - index(b) and from phi(b) at
+    w - index(a), so its rows pass ``admission`` with the noncentral
+    indices of the pair as shifts: every true commuting map restricts to
+    a solution.
     """
     n_max = window.n_max
     out_bound = 2 * n_max
@@ -64,6 +67,9 @@ def solve_commuting(window: Window) -> SolutionSpace:
 
     for i, bi in enumerate(domain):
         for bj in domain[i:]:
+            near = [b.index for b in (bi, bj) if not b.is_central]
+            if not near:
+                continue  # both arguments central: no bracket term survives
             for b_arg, b_other in ((bi, bj), (bj, bi)):
                 for u in out_keys:
                     base = mul_keys(u, b_other)
@@ -72,11 +78,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
                     vid = var_of(("phi", b_arg, u))
                     for w, c in base.items():
                         system.add(w, vid, c)
-            near = [b.index for b in (bi, bj) if not b.is_central]
-            system.flush(
-                lambda w: w.is_central
-                or all(abs(w.index - t) <= out_bound for t in near)
-            )
+            system.flush(admission(near, out_bound))
 
     basis = system.nullspace()
     meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bimaps import interior_projection, solve_biderivations
 from .core import (
     C1,
     C2,
@@ -221,8 +222,6 @@ def quotient_biderivation_space(
     """Windowed biderivation space of the quotient left-symmetric product;
     the interior projection is expected to be trivial for admissible
     parameters."""
-    from .bimaps import interior_projection, solve_biderivations
-
     product = LeftSymProduct(params, quotient=True)
     space = solve_biderivations(product, window, out_bound, degree=degree)
     if n_int is not None:

@@ -116,6 +116,21 @@ def collect_report(residual, instances) -> CheckReport:
     return CheckReport(checked, skipped, tuple(counterexamples))
 
 
+def admission(shifts, out_bound: int):
+    """The row-admission rule of every windowed solve, as the predicate
+    ``LinearSystem.flush`` takes.
+
+    A row at output coordinate ``w`` is fed by unknowns at index
+    ``w.index - s`` for each offset ``s`` in ``shifts``, and it is an exact
+    consequence of the identity only when all of them lie inside the
+    output bound: ``w`` is admitted when it is central or when
+    ``max(shifts) - out_bound <= w.index <= min(shifts) + out_bound``.
+    """
+    lo = max(shifts) - out_bound
+    hi = min(shifts) + out_bound
+    return lambda w: w.is_central or lo <= w.index <= hi
+
+
 def leibniz_residual(product: Product, d, a: BasisKey, b: BasisKey) -> Element:
     """d(a*b) - d(a)*b - a*d(b), where ``d`` maps a basis key to an Element.
 

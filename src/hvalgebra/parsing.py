@@ -34,9 +34,6 @@ from .linmaps import (
 )
 from .scalars import Scalar
 
-_SYMBOLS = ("->", "+", "-", "*", "/", "(", ")", "[", "]", "{", "}", ",", ":")
-
-
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -403,7 +400,7 @@ def parse_linear_map_file(text: str, lie: LieProduct = LIE_HV) -> LinearMap:
 def parse_bilinear_map_file(text: str) -> BilinearMap:
     """Build a bilinear map from tabular pair lines and directives."""
     table = {}
-    arg_keys = []
+    arg_keys = set()
     parts = []
     for lineno, line in _content_lines(text):
         try:
@@ -432,11 +429,12 @@ def parse_bilinear_map_file(text: str) -> BilinearMap:
                 value_text = value_text.strip()
                 value = Element.zero() if value_text == "0" else parse_element(value_text)
                 table[(a, b)] = value
-                arg_keys.extend((a, b))
+                arg_keys.update((a, b))
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err}") from None
     if table:
-        parts.insert(0, TabularBilinear(table, domain=arg_keys))
+        pairs = [(a, b) for a in arg_keys for b in arg_keys]
+        parts.insert(0, TabularBilinear(table, pairs))
     if not parts:
         raise ParseError("empty bilinear map file")
     if len(parts) == 1:

@@ -30,13 +30,17 @@ from hvalgebra.core import (
     L,
 )
 from hvalgebra.errors import DomainNotCovered, InfeasibleWindow
-from hvalgebra.linalg import span_equal
+from hvalgebra.linalg import SolutionSpace, span_equal
 from hvalgebra.linmaps import Window
 from hvalgebra.scalars import Scalar
 
 
 def E(key):
     return Element.basis(key)
+
+
+def all_pairs(keys):
+    return [(a, b) for a in keys for b in keys]
 
 
 def test_omega_normalization():
@@ -110,7 +114,7 @@ def test_tabular_projection_shift_is_not_a_biderivation():
         for m in range(-3, 4)
         for n in range(-3, 4)
     }
-    f = TabularBilinear(table, domain=domain)
+    f = TabularBilinear(table, pairs=all_pairs(domain))
     # direct residual of the first-slot equation at (L(1), L(2), L(3))
     lhs = f.eval(LIE_HV, LIE_HV.mul(E(L(1)), E(L(2))), E(L(3)))
     rhs = LIE_HV.mul(E(L(1)), f.eval_keys(LIE_HV, L(2), L(3))) + LIE_HV.mul(
@@ -131,7 +135,7 @@ def test_symmetry_classes():
 
 
 def test_eval_raises_at_an_uncovered_pair_of_a_sum():
-    tab = TabularBilinear({(L(0), L(1)): E(I(1))}, domain=[L(0), L(1)])
+    tab = TabularBilinear({(L(0), L(1)): E(I(1))}, pairs=all_pairs([L(0), L(1)]))
     f = SumBilinear((Inner(1), tab))
     assert f.eval(LIE_HV, E(L(0)), E(L(1))) == f.eval_keys(LIE_HV, L(0), L(1))
     with pytest.raises(DomainNotCovered) as err:
@@ -144,7 +148,7 @@ def test_central_annihilation():
         Classified(Scalar(3), Omega({1: 2})), LIE_HV, Window(4)
     )
     assert report.passed
-    bad = TabularBilinear({(L(0), C1): E(L(0))}, domain=[L(0), C1])
+    bad = TabularBilinear({(L(0), C1): E(L(0))}, pairs=all_pairs([L(0), C1]))
     report = central_annihilation(bad, LIE_HV, Window(1))
     assert not report.passed
     assert report.counterexamples[0].inputs == (L(0), C1)
@@ -155,7 +159,7 @@ def test_central_annihilation_counts_each_slot():
     f = Classified(Scalar(3), Omega({1: 2}))
     report = central_annihilation(f, LIE_HV, Window(1))
     assert (report.checked, report.skipped) == (72, 0)
-    bad = TabularBilinear({(L(0), C1): E(L(0))}, domain=[L(0), C1])
+    bad = TabularBilinear({(L(0), C1): E(L(0))}, pairs=all_pairs([L(0), C1]))
     report = central_annihilation(bad, LIE_HV, Window(1))
     assert (report.checked, report.skipped) == (4, 68)
     assert [str(c) for c in report.counterexamples] == [
@@ -238,6 +242,51 @@ def test_solver_solutions_rehydrate_to_checked_maps():
             assert report.checked > 0
     with pytest.raises(DomainNotCovered):
         rehydrate(space, 0).eval_keys(LIE_HV, L(9), L(0))
+
+
+def test_rehydrate_refuses_an_ungraded_solve():
+    # its values past the output bound were never unknowns, so a table
+    # built from it would read them as zero
+    space = solve_biderivations(LIE_W00, Window(1), 2)
+    with pytest.raises(ValueError, match="graded"):
+        rehydrate(space, 0)
+
+
+def _slice_degree(label):
+    """The graded slice an unknown f(p, q) : u belongs to."""
+    _, p, q, u = label
+    return (0 if u.is_central else u.index) - p.index - q.index
+
+
+@pytest.mark.parametrize("product", [LIE_W00, LIE_HV], ids=lambda p: p.name)
+def test_ungraded_space_is_the_direct_sum_of_its_graded_slices(product):
+    """Every unknown of the ungraded solve lies in exactly one graded
+    slice, and the ungraded space is the direct sum of the slices.  The
+    two slices at |degree| = ob + 2N admit no rows, so the graded solve
+    refuses them; their 8 + 8 unknowns enter as free unit vectors."""
+    window, out_bound = Window(2), 4
+    ungraded = solve_biderivations(product, window, out_bound)
+    registry = ungraded.registry
+    reach = out_bound + 2 * window.n_max
+    vectors = []
+    infeasible = []
+    for degree in range(-reach, reach + 1):
+        try:
+            space = solve_biderivations(product, window, out_bound, degree=degree)
+        except InfeasibleWindow:
+            infeasible.append(degree)
+            continue
+        label_of = space.registry.label_of
+        for vec in space.basis:
+            vectors.append({registry.id_of(label_of(c)): v for c, v in vec.items()})
+    assert infeasible == [-reach, reach]
+    free = [
+        vid for vid in range(len(registry))
+        if _slice_degree(registry.label_of(vid)) in infeasible
+    ]
+    assert len(free) == 16
+    vectors.extend({vid: Scalar(1)} for vid in free)
+    assert span_equal(ungraded, SolutionSpace(registry, vectors)).equal
 
 
 def test_interior_projection_validates_and_shrinks():

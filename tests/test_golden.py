@@ -7,18 +7,29 @@ stdout, final newline included, is compared with a recorded digest.  The
 first checker entries fail on purpose, so their counterexample lists (and
 their order) are pinned too.  The "skip-" entries check partial tables,
 so their exact checked and skipped counts are pinned as well.  The demos
-run as scripts, and their whole stdout is pinned the same way.
+run as scripts, and their whole stdout is pinned the same way.  One
+more digest covers every degree slice and the ungraded solve of three
+products on two small windows, so a change to row admission shows at
+any degree.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hvalgebra.bimaps import solve_biderivations
 from hvalgebra.cli import main
+from hvalgebra.core import LIE_HV, LIE_W00
+from hvalgebra.errors import InfeasibleWindow
+from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
+from hvalgebra.linmaps import Window
+from hvalgebra.render import render_solution_space
+from hvalgebra.scalars import Scalar
 
 DECOMPOSE_MAP = "@inner 2*L(1) - I(2) + 1/2*L(-1)\n@d1 3\n@d2 -1/2\n@d3 i\n"
 
@@ -140,6 +151,29 @@ def test_report_digest(argv, digest, code, tmp_path, capsys):
     out = capsys.readouterr().out
     body = out.split("\n", 2)[2]
     assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
+def test_every_slice_digest():
+    """Machine output of every degree slice (|degree| <= ob + 2N, past
+    which no unknown exists) and of the ungraded solve, at W1/ob2 and
+    W1/ob3.  A slice without admitted rows is recorded as infeasible."""
+    leftsym = LeftSymProduct(LeftSymParams(Fraction(1, 2), 0, Scalar(1, 1)), quotient=True)
+    products = [("lie-w00", LIE_W00), ("lie-hv", LIE_HV), ("leftsym-quotient", leftsym)]
+    digest = hashlib.sha256()
+    for name, product in products:
+        for n_max, out_bound in ((1, 2), (1, 3)):
+            reach = out_bound + 2 * n_max
+            for degree in [*range(-reach, reach + 1), None]:
+                try:
+                    space = solve_biderivations(product, Window(n_max), out_bound, degree)
+                    text = render_solution_space(space, "machine")
+                except InfeasibleWindow:
+                    text = "infeasible"
+                head = f"{name} W{n_max}/ob{out_bound} degree={degree}"
+                digest.update(f"{head}\n{text}\n".encode("utf-8"))
+    assert digest.hexdigest() == (
+        "9251e5e18a681779a987bf908c17edfba5306398ebdde151380869fec92e6688"
+    )
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
