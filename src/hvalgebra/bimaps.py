@@ -118,22 +118,6 @@ class ROmega(BilinearMap):
         return f"romega({self.omega})"
 
 
-class Classified(BilinearMap):
-    """The reference family inner(lam) + romega(omega)."""
-
-    def __init__(self, coeff, omega: Omega):
-        self.inner = Inner(coeff)
-        self.romega = ROmega(omega)
-
-    def eval_keys(self, product, a, b):
-        return self.inner.eval_keys(product, a, b) + self.romega.eval_keys(
-            product, a, b
-        )
-
-    def __str__(self):
-        return f"{self.inner} + {self.romega}"
-
-
 class TabularBilinear(BilinearMap):
     """A bilinear map known on exactly the argument ``pairs`` it is given.
 
@@ -166,6 +150,13 @@ class SumBilinear(BilinearMap):
 
     def __str__(self):
         return " + ".join(str(p) for p in self.parts)
+
+
+class Classified(SumBilinear):
+    """The reference family inner(lam) + romega(omega)."""
+
+    def __init__(self, coeff, omega: Omega):
+        super().__init__((Inner(coeff), ROmega(omega)))
 
 
 def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckReport:
@@ -447,13 +438,3 @@ def rehydrate(space: SolutionSpace, index: int) -> TabularBilinear:
         {pair: Element(coeffs) for pair, coeffs in table.items()}, pairs
     )
 
-
-def drop_output_coordinates(space: SolutionSpace, predicate) -> SolutionSpace:
-    """Project away output coordinates whose key fails the predicate."""
-    registry = space.registry
-
-    def keep(vid):
-        label = registry.label_of(vid)
-        return predicate(label[-1])
-
-    return space.restrict(keep)

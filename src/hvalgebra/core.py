@@ -27,15 +27,20 @@ from .scalars import Scalar, accumulate, coefficient_text
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
 
-_FAMILY_RANK = {"L": 0, "I": 1, "C": 2}
+_FAMILIES = "LIC"
+_FAMILY_RANK = {family: rank for rank, family in enumerate(_FAMILIES)}
 
 
-class BasisKey:
-    """One basis symbol: L(n), I(n), or a central C1/C2/C3."""
+class BasisKey(tuple):
+    """One basis symbol: L(n), I(n), or a central C1/C2/C3.
 
-    __slots__ = ("family", "index", "_sort")
+    A key is the tuple ``(family rank, index)``, so it orders (L before I
+    before C, then by index), compares and hashes as that tuple, in C.
+    """
 
-    def __init__(self, family: str, index: int):
+    __slots__ = ()
+
+    def __new__(cls, family: str, index: int):
         if family not in _FAMILY_RANK:
             raise ValueError(f"unknown basis family {family!r}")
         if family == "C":
@@ -43,28 +48,25 @@ class BasisKey:
                 raise ValueError("central symbols are C1, C2 and C3")
         elif not _INT64_MIN <= index <= _INT64_MAX:
             raise IndexOverflow(f"index {index} outside the signed 64-bit range")
-        self.family = family
-        self.index = index
-        self._sort = (_FAMILY_RANK[family], index)
+        return super().__new__(cls, (_FAMILY_RANK[family], index))
+
+    def __getnewargs__(self):
+        return (self.family, self.index)
+
+    @property
+    def family(self) -> str:
+        return _FAMILIES[self[0]]
+
+    @property
+    def index(self) -> int:
+        return self[1]
 
     @property
     def is_central(self) -> bool:
-        return self.family == "C"
-
-    def __eq__(self, other):
-        return isinstance(other, BasisKey) and self._sort == other._sort
-
-    def __lt__(self, other):
-        return self._sort < other._sort
-
-    def __le__(self, other):
-        return self._sort <= other._sort
-
-    def __hash__(self):
-        return hash(self._sort)
+        return self[0] == 2
 
     def __str__(self):
-        if self.family == "C":
+        if self.is_central:
             return f"C{self.index}"
         return f"{self.family}({self.index})"
 
@@ -122,10 +124,10 @@ class Element:
 
     def items(self):
         """Coefficient pairs in the canonical key order."""
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0]._sort)
+        return sorted(self._coeffs.items())
 
     def support(self):
-        return sorted(self._coeffs, key=lambda k: k._sort)
+        return sorted(self._coeffs)
 
     def __getitem__(self, key: BasisKey) -> Scalar:
         return self._coeffs.get(key, Scalar(0))

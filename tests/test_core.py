@@ -1,6 +1,8 @@
 """Bracket structure constants, the centerless quotient, and elements."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import hvalgebra
 from hvalgebra.core import (
+    BasisKey,
     C1,
     C2,
     C3,
@@ -150,6 +153,33 @@ def test_index_overflow_guard():
         HV.mul_keys(L(big + 1), L(big))
     with pytest.raises(IndexOverflow):
         L(2**63)
+
+
+def test_basis_key_contract():
+    keys = [C3, I(2), L(5), C1, I(-7), L(-1)]
+    assert sorted(keys) == [L(-1), L(5), I(-7), I(2), C1, C3]
+    assert L(3) == BasisKey("L", 3) and hash(L(3)) == hash(BasisKey("L", 3))
+    assert L(3) == (0, 3) and hash(C2) == hash((2, 2))
+    assert L(4) != I(4) and I(2) != C2
+    assert (str(L(-2)), repr(I(0)), str(C2)) == ("L(-2)", "I(0)", "C2")
+    assert (I(-5).family, I(-5).index, I(-5).is_central) == ("I", -5, False)
+    assert (C1.family, C1.index, C1.is_central) == ("C", 1, True)
+    assert not hasattr(L(0), "__dict__")
+    with pytest.raises(ValueError, match="unknown basis family"):
+        BasisKey("K", 1)
+    with pytest.raises(ValueError, match="C1, C2 and C3"):
+        BasisKey("C", 4)
+    with pytest.raises(IndexOverflow):
+        BasisKey("I", -(2**63) - 1)
+    x = Element({L(-2): Scalar(1, 3), C1: 2, I(4): -1})
+    for obj in (L(-2), C3, x):
+        for clone in (
+            pickle.loads(pickle.dumps(obj)),
+            copy.copy(obj),
+            copy.deepcopy(obj),
+        ):
+            assert clone == obj and type(clone) is type(obj)
+            assert str(clone) == str(obj)
 
 
 def test_exported_names_resolve():
