@@ -27,6 +27,7 @@ from .core import (
     LieProduct,
     Product,
     bilinear_extension,
+    plain_constants,
     CENTRAL_KEYS,
 )
 from .errors import DomainNotCovered
@@ -293,6 +294,7 @@ def solve_biderivations(
     var_of = registry.id_of
     system = LinearSystem(len(registry))
     add = system.add
+    mul = plain_constants(product)
     in_window = set(domain)
 
     def leibniz(a, b, c, var):
@@ -302,21 +304,21 @@ def solve_biderivations(
         w - index(a), by g(a, c) at w - index(b) and, when a*b has a
         noncentral term, by g(a*b, c) at w itself.
         """
-        prod = product.mul_keys(a, b)
-        if not all(k.is_central or k in in_window for k in prod.support()):
+        prod = mul(a, b)
+        if not all(k.is_central or k in in_window for k, _ in prod):
             return
         ia, ib, ic = a.index, b.index, c.index
-        nc = [kv for kv in prod.items() if not kv[0].is_central]
+        nc = [kv for kv in prod if not kv[0].is_central]
         for bt, coeff in nc:
             for u in out_keys(bt.index + ic):
                 add(u, var(bt, c, u), -coeff)
         for u in out_keys(ib + ic):
             vid = var(b, c, u)
-            for w, coeff in product.mul_keys(a, u).items():
+            for w, coeff in mul(a, u):
                 add(w, vid, coeff)
         for u in out_keys(ia + ic):
             vid = var(a, c, u)
-            for w, coeff in product.mul_keys(u, b).items():
+            for w, coeff in mul(u, b):
                 add(w, vid, coeff)
         system.flush(admission((ia, ib, 0) if nc else (ia, ib), out_bound))
 

@@ -140,9 +140,10 @@ def _cmd_solve_commuting(args) -> int:
 def _cmd_report_leftsym(args) -> int:
     params = _ls_params(args)
     window = Window(args.window)
-    _header(args)
     identity = is_left_symmetric(params, window, strata="noncentral")
     full = is_left_symmetric(params, window, strata="all")
+    strata = subadjacent_residual(params, window)
+    _header(args)
     if args.format == "machine":
         print(f"identity-noncentral={'pass' if identity.passed else 'fail'}")
         print(f"identity-all-strata={'pass' if full.passed else 'fail'}")
@@ -153,7 +154,7 @@ def _cmd_report_leftsym(args) -> int:
         print(f"left-symmetric identity, all strata: "
               f"{'pass' if full.passed else 'fail'} "
               f"({len(full.counterexamples)} nonzero residuals)")
-    print(render_strata_report(subadjacent_residual(params, window), args.format))
+    print(render_strata_report(strata, args.format))
     return 0
 
 

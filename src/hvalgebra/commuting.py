@@ -9,7 +9,7 @@ span on a window.
 
 from __future__ import annotations
 
-from .core import Element, LIE_HV
+from .core import Element, LIE_HV, plain_constants
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import (
     CentralMap,
@@ -62,7 +62,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
         for u in out_keys:
             registry.add(("phi", b, u))
     var_of = registry.id_of
-    mul_keys = LIE_HV.mul_keys
+    mul_keys = plain_constants(LIE_HV)
     system = LinearSystem(len(registry))
 
     for i, bi in enumerate(domain):
@@ -76,7 +76,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
                     if not base:
                         continue
                     vid = var_of(("phi", b_arg, u))
-                    for w, c in base.items():
+                    for w, c in base:
                         system.add(w, vid, c)
             system.flush(admission(near, out_bound))
 

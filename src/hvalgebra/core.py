@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .errors import IndexOverflow
-from .scalars import Scalar, accumulate, coefficient_text
+from .scalars import Scalar, accumulate, coefficient_text, plain
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
@@ -301,6 +301,17 @@ class Product:
 
     def __str__(self):
         return self.name
+
+
+def plain_constants(product: Product):
+    """``product.mul_keys`` as ``(key, scalars.plain number)`` pairs in key
+    order, each key pair read once by a cache that dies with the function."""
+
+    @lru_cache(maxsize=None)
+    def constants(a: BasisKey, b: BasisKey) -> tuple:
+        return tuple((k, plain(v)) for k, v in product.mul_keys(a, b).items())
+
+    return constants
 
 
 class LieProduct(Product):

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
 Vectors and matrix rows are dicts mapping dense variable ids to nonzero
-Scalars.  Everything is reduced to a canonical form (RREF with leading
-ones and pivots in increasing variable order), so two computations of the
-same span produce identical representations and every report built on top
-is byte-stable.  Rows stay in reduced canonical form after every stage;
-Fraction arithmetic keeps entries gcd-reduced throughout.
+ints, Fractions or Scalars, in any mix: elimination needs only the number
+protocol, ``rref`` keeps Scalar rows Scalar, and ``nullspace`` and
+``solve_affine`` always answer in Scalars.  Everything is reduced to a
+canonical form (RREF with leading ones and pivots in increasing variable
+order), so two computations of the same span produce identical
+representations and every report built on top is byte-stable.  Rows stay
+in reduced canonical form after every stage, with exact entries.
 
 Constraint rows are deduplicated on ``row_key``, which is equal for two
 rows exactly when one is a nonzero Q(i)-multiple of the other.  A row
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import Scalar, accumulate
+from .scalars import Scalar, accumulate, plain, reciprocal
 
 
 class VarRegistry:
@@ -95,7 +97,7 @@ def rref(rows) -> list:
         if not row:
             continue
         col = min(row)
-        inv = row[col].inv()
+        inv = reciprocal(row[col])
         row = {c: v * inv for c, v in row.items()}
         for prow in pivots.values():
             if col in prow:
@@ -112,7 +114,7 @@ def nullspace(rows, ncols: int) -> list:
     """Canonical basis of the solution set of ``rows * v = 0``.
 
     The standard free-variable basis is re-canonicalized with rref so the
-    returned vectors have leading ones at increasing variable ids.
+    returned Scalar vectors have leading ones at increasing variable ids.
     """
     reduced = rref(rows)
     pivot_cols = {min(r): r for r in reduced}
@@ -120,13 +122,13 @@ def nullspace(rows, ncols: int) -> list:
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = {free: Scalar(1)}
+        vec = {free: 1}
         for pcol, prow in pivot_cols.items():
             coeff = prow.get(free)
             if coeff is not None:
                 vec[pcol] = -coeff
         vectors.append(vec)
-    return rref(vectors)
+    return [{c: Scalar.coerce(v) for c, v in vec.items()} for vec in rref(vectors)]
 
 
 def solve_affine(rows, nvars: int):
@@ -134,8 +136,8 @@ def solve_affine(rows, nvars: int):
 
     Each row holds its constant term in column ``nvars`` and states
     sum(row[c] * x[c]) + row[nvars] = 0.  Returns the particular solution
-    with all free variables set to zero, or None when the system is
-    inconsistent.
+    with all free variables set to zero, as Scalars, or None when the
+    system is inconsistent.
     """
     solution = {}
     for row in rref(rows):
@@ -145,31 +147,29 @@ def solve_affine(rows, nvars: int):
         c = row.get(nvars)
         if c is not None:
             solution[lead] = -c
-    return solution
+    return {c: Scalar.coerce(v) for c, v in solution.items()}
 
 
 def row_key(row: dict) -> tuple:
     """Canonical key of a nonzero row up to nonzero Q(i)-multiples.
 
     A multiple of an integer row keys on the primitive integer vector: the
-    gcd divided out and the leading (minimum-column) entry positive.  An
-    all-integer real row gets it straight from its entries; any other row
-    is first divided by its leading entry, and if that leaves it real its
+    gcd divided out and the leading (minimum-column) entry positive.  A row
+    of ints gets it straight from its entries; any other row is first
+    divided by its leading entry, and if that leaves it real its
     denominators are cleared.  A row with no real multiple keys on its
     lead-normalised Scalars, one of which is not real, so it never equals
-    an integer key.
+    an integer key.  Entry types (int, Fraction, Scalar) do not matter.
     """
     cols = sorted(row)
-    values = [row[c] for c in cols]
-    if any(v.im or v.re.denominator != 1 for v in values):
-        lead = values[0].inv()
-        values = [v * lead for v in values]
-        if any(v.im for v in values):
-            return tuple(zip(cols, values))
-        scale = lcm(*(v.re.denominator for v in values))
-        ints = [v.re.numerator * (scale // v.re.denominator) for v in values]
-    else:
-        ints = [v.re.numerator for v in values]
+    ints = [row[c] for c in cols]
+    if any(type(v) is not int for v in ints):
+        lead = reciprocal(ints[0])
+        values = [plain(v * lead) for v in ints]
+        if any(type(v) is Scalar for v in values):
+            return tuple((c, Scalar.coerce(v)) for c, v in zip(cols, values))
+        scale = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
     g = gcd(*ints)
     if ints[0] < 0:
         g = -g
@@ -181,6 +181,8 @@ class LinearSystem:
 
     Each identity instance adds its terms with ``add`` (one sparse row per
     output coordinate), then ``flush`` turns those coordinates into rows.
+    Terms are ``scalars.plain`` numbers, so real rows are built and reduced
+    in int and Fraction arithmetic; the solutions come back as Scalars.
     A row is kept when it is nonzero, when the solver's ``admit(coord)``
     holds (no predicate admits all), and when no row with the same
     ``row_key`` (a nonzero scalar multiple) was kept before; the first
@@ -193,8 +195,13 @@ class LinearSystem:
         self._seen = set()
         self._coords = {}
 
-    def add(self, coord, col: int, value: Scalar) -> None:
-        accumulate(self._coords.setdefault(coord, {}), {col: value})
+    def add(self, coord, col: int, value) -> None:
+        row = self._coords.setdefault(coord, {})
+        value = row[col] + value if col in row else value
+        if value:
+            row[col] = value
+        else:
+            row.pop(col, None)
 
     def flush(self, admit=None) -> None:
         for coord, row in self._coords.items():

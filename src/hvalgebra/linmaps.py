@@ -29,7 +29,7 @@ from .core import (
 from .errors import DomainNotCovered, NotCentral
 from .linalg import LinearSystem
 from .parallel import run_ordered
-from .scalars import Scalar
+from .scalars import Scalar, plain
 
 
 @dataclass(frozen=True)
@@ -347,12 +347,12 @@ def decompose_derivation(d: LinearMap, window: Window):
     for b0 in interior:
         for xk in x_keys:
             for w, value in product.mul_keys(xk, b0).items():
-                system.add(w, ids[("x", xk)], value)
+                system.add(w, ids[("x", xk)], plain(value))
         for tag, mp in outer.items():
             for w, value in mp.apply_key(b0).items():
-                system.add(w, ids[("coef", tag)], value)
+                system.add(w, ids[("coef", tag)], plain(value))
         for w, value in d.apply_key(b0).items():
-            system.add(w, const, -value)
+            system.add(w, const, plain(-value))
         system.flush()
 
     solution = system.solve_affine()

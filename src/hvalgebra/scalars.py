@@ -1,9 +1,11 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-Scalar is the coefficient field for the whole package: a complex number
-whose real and imaginary parts are arbitrary-precision Fractions.  Every
-operation is exact, so downstream zero tests are decisive; no module in
-this package owns a tolerance.
+Scalar is the coefficient type of elements, maps and solved bases: a
+complex number whose real and imaginary parts are arbitrary-precision
+Fractions.  A windowed solve's rows hold ``plain`` numbers (int, Fraction,
+or Scalar only when not real) and only its basis is made of Scalars.
+Every operation is exact, so downstream zero tests are decisive; no
+module in this package owns a tolerance.
 
 Almost every structure constant is real, so the ring operations skip the
 Fraction products and sums whose imaginary factor is zero: a product with
@@ -30,7 +32,7 @@ class Scalar:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=0, im=_REAL):
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
@@ -182,12 +184,29 @@ def coefficient_text(value: Scalar):
     return False, f"({value})"
 
 
+def plain(value):
+    """An int, Fraction or Scalar as the cheapest type that holds it exactly:
+    an int, else a Fraction, else (not real) a Scalar."""
+    if type(value) is Scalar:
+        if value.im:
+            return value
+        value = value.re
+    return value.numerator if value.denominator == 1 else value
+
+
+def reciprocal(value):
+    """The exact inverse of a nonzero int, Fraction or Scalar."""
+    if type(value) is Scalar:
+        return value.inv()
+    return value if value == 1 or value == -1 else 1 / Fraction(value)
+
+
 def accumulate(acc: dict, terms: dict, factor=None) -> None:
-    """acc += factor * terms, in place, on dicts of nonzero Scalars.
+    """acc += factor * terms, in place, on dicts of nonzero exact numbers.
 
     ``factor`` defaults to one.  An entry whose sum is zero is removed, so
     ``acc`` stays free of zeros.  Every sparse sum and elimination step of
-    the package goes through here.
+    the package but ``LinearSystem.add``'s single terms goes through here.
     """
     get = acc.get
     for key, value in terms.items():

@@ -219,6 +219,16 @@ def test_report_leftsym_always_succeeds(capsys):
     assert code == 2 and "--epsilon" in err
 
 
+def test_report_leftsym_prints_nothing_when_it_fails(capsys):
+    # eps = -1/3 makes 1 + eps*(m+n) vanish at m + n = 3, inside window 1
+    code, out, err = run(
+        capsys, "report", "leftsym", "--window", "1", "--epsilon=-1/3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "1 + eps*(2+1) vanished" in err
+
+
 def test_decompose(tmp_path, capsys):
     shift = tmp_path / "shift.map"
     lines = [f"L({n}) -> I({n})" for n in range(-2, 3)]

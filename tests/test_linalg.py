@@ -1,5 +1,6 @@
 """Exact sparse row reduction, nullspaces, and span comparison."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hvalgebra.bimaps import solve_biderivations
 from hvalgebra.commuting import solve_commuting
 from hvalgebra.core import LIE_HV, LIE_W00
 from hvalgebra.errors import IncompatibleSpaces, InfeasibleWindow
+from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linalg import (
     LinearSystem,
     SolutionSpace,
@@ -29,6 +31,29 @@ from hvalgebra.scalars import Scalar
 
 def S(rows):
     return [{c: Scalar.coerce(v) for c, v in row.items()} for row in rows]
+
+
+def _representations(value):
+    """Every type that holds ``value`` exactly: a Scalar, and a Fraction and
+    an int when the value is real and integral enough."""
+    value = Scalar.coerce(value)
+    out = [value]
+    if not value.im:
+        out.append(value.re)
+        if value.re.denominator == 1:
+            out.append(value.re.numerator)
+    return out
+
+
+def _retyped(row):
+    """``row`` with each entry drawn as one of its representations."""
+    return st.fixed_dictionaries(
+        {c: st.sampled_from(_representations(v)) for c, v in row.items()}
+    )
+
+
+def _all_scalars(rows):
+    return all(type(v) is Scalar for row in rows for v in row.values())
 
 
 def test_registry_is_append_only():
@@ -150,8 +175,8 @@ def _dense_nullspace(matrix, ncols):
 
 
 def _to_dense(row, ncols):
-    zero = Scalar(0)
-    return [(row.get(c, zero).re, row.get(c, zero).im) for c in range(ncols)]
+    values = [Scalar.coerce(row.get(c, 0)) for c in range(ncols)]
+    return [(v.re, v.im) for v in values]
 
 
 _small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -167,19 +192,40 @@ def _systems(draw):
     return [{c: v for c, v in row.items() if v} for row in rows], ncols
 
 
+@st.composite
+def _mixed_systems(draw):
+    """A system whose entries are drawn as ints, Fractions or Scalars,
+    whichever can hold them."""
+    rows, ncols = draw(_systems())
+    return [draw(_retyped(row)) for row in rows], ncols
+
+
+def _check_against_the_dense_oracle(rows, ncols):
+    before = [dict(row) for row in rows]
+    dense = [_to_dense(row, ncols) for row in rows]
+    expected = _dense_rref(dense, ncols)
+    reduced = rref(rows)
+    assert [_to_dense(row, ncols) for row in reduced] == expected
+    assert rank(rows) == len(expected)
+    basis = nullspace(rows, ncols)
+    assert [_to_dense(vec, ncols) for vec in basis] == _dense_nullspace(dense, ncols)
+    assert _all_scalars(basis)
+    assert rows == before
+    return reduced
+
+
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_rank_rref_and_nullspace_match_a_dense_oracle(system):
     rows, ncols = system
-    before = [dict(row) for row in rows]
-    dense = [_to_dense(row, ncols) for row in rows]
-    expected = _dense_rref(dense, ncols)
-    assert [_to_dense(row, ncols) for row in rref(rows)] == expected
-    assert rank(rows) == len(expected)
-    assert [_to_dense(vec, ncols) for vec in nullspace(rows, ncols)] == (
-        _dense_nullspace(dense, ncols)
-    )
-    assert rows == before
+    # Scalar rows in, Scalar rows out
+    assert _all_scalars(_check_against_the_dense_oracle(rows, ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_systems())
+def test_rank_rref_and_nullspace_take_mixed_entry_types(system):
+    _check_against_the_dense_oracle(*system)
 
 
 def _scaled(row, factor):
@@ -201,6 +247,23 @@ def test_row_key_is_shared_by_every_scalar_multiple():
     assert keys == {((1, Scalar(1)), (2, Scalar(0, 1)))}
 
 
+@pytest.mark.parametrize(
+    "row",
+    [{0: -2, 3: 4, 5: 6}, {0: Fraction(1, 2), 2: 3, 4: Fraction(-5, 3)}, {1: 2, 2: Scalar(0, 2)}],
+    ids=["integer", "rational", "gaussian"],
+)
+def test_row_key_does_not_depend_on_the_entry_types(row):
+    # every multiple of the row, with each entry as an int, a Fraction or
+    # a Scalar wherever that type holds it, gets one key
+    cols = sorted(row)
+    keys = set()
+    for factor in _MULTIPLIERS:
+        scaled = _scaled(S([row])[0], factor)
+        for values in itertools.product(*(_representations(scaled[c]) for c in cols)):
+            keys.add(row_key(dict(zip(cols, values))))
+    assert len(keys) == 1
+
+
 _int_rows = st.dictionaries(
     st.integers(0, 3), st.integers(-4, 4).filter(bool).map(Scalar), min_size=1
 )
@@ -214,7 +277,8 @@ def _row_pairs(draw):
     if draw(st.booleans()):
         r = _scaled(r, draw(_factors))
     s = draw(st.one_of(_int_rows, _any_rows, _factors.map(lambda f: _scaled(r, f))))
-    return r, s
+    # each entry as an int, a Fraction or a Scalar, mixed within a row
+    return draw(_retyped(r)), draw(_retyped(s))
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,6 +299,10 @@ def test_solve_affine():
     # underdetermined: free variables default to zero
     rows = S([{0: 1, 1: 2, 2: -4}])
     assert solve_affine(rows, 2) == {0: Scalar(4)}
+    # plain-number rows give a Scalar solution
+    solution = solve_affine([{0: 2, 1: Fraction(1, 2), 2: -3}, {1: 1, 2: -2}], 2)
+    assert solution == {0: Scalar(1), 1: Scalar(2)}
+    assert _all_scalars([solution])
 
 
 def _space(reg, rows):
@@ -355,16 +423,22 @@ def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, m
     assert shapes == [shape]
 
 
+_GAUSSIAN_QUOTIENT = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)), quotient=True)
+
+
 @pytest.mark.parametrize(
-    "solve",
+    "solve, real",
     [
-        lambda: solve_biderivations(LIE_W00, Window(2), 4, degree=0),
-        lambda: solve_biderivations(LIE_W00, Window(2), 4),
-        lambda: solve_commuting(Window(2)),
+        (lambda: solve_biderivations(LIE_W00, Window(2), 4, degree=0), True),
+        (lambda: solve_biderivations(LIE_HV, Window(2), 4, degree=0), True),
+        (lambda: solve_biderivations(LIE_W00, Window(2), 4), True),
+        (lambda: solve_commuting(Window(2)), True),
+        # degree 0 has no solutions at this window, so solve ungraded
+        (lambda: solve_biderivations(_GAUSSIAN_QUOTIENT, Window(2), 4), False),
     ],
-    ids=["graded", "ungraded", "commuting"],
+    ids=["graded", "graded-lie-hv", "ungraded", "commuting", "leftsym-quotient"],
 )
-def test_solver_bases_annihilate_every_admitted_row(solve, monkeypatch):
+def test_solver_bases_annihilate_every_admitted_row(solve, real, monkeypatch):
     captured = []
     original = linalg.nullspace
 
@@ -382,3 +456,10 @@ def test_solver_bases_annihilate_every_admitted_row(solve, monkeypatch):
                 (v * vec[c] for c, v in row.items() if c in vec), Scalar(0)
             )
             assert not total
+    # rows are assembled as plain numbers (Scalars only for a product
+    # with non-real constants); the basis is made of Scalars
+    assert _all_scalars(space.basis)
+    if real:
+        assert not any(type(v) is Scalar for row in rows for v in row.values())
+    else:
+        assert any(type(v) is Scalar for row in rows for v in row.values())
