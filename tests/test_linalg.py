@@ -34,8 +34,8 @@ def S(rows):
 
 
 def _representations(value):
-    """Every type that holds ``value`` exactly: a Scalar, and a Fraction and
-    an int when the value is real and integral enough."""
+    """Every type that holds ``value`` exactly: a Scalar, a Fraction when
+    the value is real, and an int when it is an integer."""
     value = Scalar.coerce(value)
     out = [value]
     if not value.im:
