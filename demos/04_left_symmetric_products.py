@@ -10,11 +10,12 @@ from hvalgebra import (
     ROmega,
     Window,
     check_derivation_inheritance,
+    interior_projection,
     is_commutative_postlie,
     is_left_symmetric,
     params_valid,
     postlie_residual,
-    quotient_biderivation_space,
+    solve_biderivations,
     subadjacent_residual,
 )
 from hvalgebra.core import C1, C2, C3, Element, I, L
@@ -38,11 +39,11 @@ print("I(1) . I(-1) =", prod.mul_keys(I(1), I(-1)))
 print()
 
 # The defining identity holds on the nose, all strata included.
-print("left-symmetry:", is_left_symmetric(params, Window(2), strata="all"))
+print("left-symmetry:", is_left_symmetric(prod, Window(2)))
 
 # Its commutator agrees with the bracket except on two central strata;
 # the residual table is exact and parameter-independent.
-residuals = subadjacent_residual(params, Window(3))
+residuals = subadjacent_residual(prod, Window(3))
 print(render_strata_report(residuals))
 
 # Derivations of the product also derive its commutator.  The grading
@@ -56,13 +57,14 @@ grading = TabularMap(
     }
 )
 print("grading derives the product:   ", is_derivation(grading, prod_plain, Window(3)))
-print("grading derives its commutator:", check_derivation_inheritance(grading, params, Window(3)))
+print("grading derives its commutator:", check_derivation_inheritance(grading, prod, Window(3)))
 print()
 
 # The quotient product supports no interior biderivations at all in any
 # graded slice near zero.
+quotient = LeftSymProduct(params, quotient=True)
 for degree in (-1, 0, 1):
-    space = quotient_biderivation_space(params, Window(2), 4, n_int=1, degree=degree)
+    space = interior_projection(solve_biderivations(quotient, Window(2), 4, degree), 1)
     print(f"quotient biderivation dim at degree {degree}: {space.dimension}")
 print()
 

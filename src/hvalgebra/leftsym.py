@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bimaps import interior_projection, solve_biderivations
 from .core import (
     C1,
     C2,
     C3,
     LIE_HV,
+    LIE_W00,
     BasisKey,
     Element,
     I,
@@ -36,7 +36,6 @@ from .core import (
     Product,
 )
 from .errors import ZeroDenominator
-from .linalg import SolutionSpace
 from .linmaps import CheckReport, LinearMap, Window, collect_report, is_derivation
 from .scalars import ONE, Scalar
 
@@ -62,10 +61,8 @@ def params_valid(params: LeftSymParams) -> bool:
     eps = params.epsilon
     if eps.re > 0:
         inv = eps.inv()
-        return not (not inv.im and inv.re.denominator == 1)
-    if not eps.re:
-        return eps.im > 0
-    return False
+        return bool(inv.im) or inv.re.denominator != 1
+    return not eps.re and eps.im > 0
 
 
 class LeftSymProduct(Product):
@@ -75,9 +72,8 @@ class LeftSymProduct(Product):
         if params.epsilon.is_zero():
             raise ZeroDenominator("epsilon must be nonzero")
         self.params = params
-        self.quotient = quotient
         self.has_central = not quotient
-        self.name = "leftsym-quotient" if quotient else "leftsym"
+        self.name = "leftsym" if self.has_central else "leftsym-quotient"
         self._cache = {}
 
     def mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
@@ -89,7 +85,7 @@ class LeftSymProduct(Product):
 
     def _mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
         if a.is_central or b.is_central:
-            if self.quotient:
+            if not self.has_central:
                 raise ValueError("quotient elements must have no central support")
             return Element.zero()
         alpha, beta, eps = self.params.alpha, self.params.beta, self.params.epsilon
@@ -102,7 +98,7 @@ class LeftSymProduct(Product):
                 if not den:
                     raise ZeroDenominator(f"1 + eps*({m}+{n}) vanished")
                 coeffs[L(m + n)] = -(Scalar(n) * (ONE + eps * n)) / den
-                if delta and not self.quotient:
+                if delta and self.has_central:
                     coeffs[C1] = (
                         Scalar(Fraction(m**3 - m, 24))
                         + (eps - eps.inv()) * Fraction(m * m, 24)
@@ -112,118 +108,66 @@ class LeftSymProduct(Product):
                 if delta:
                     factor = ONE + (ONE - eps * n) * alpha
                 coeffs[I(m + n)] = Scalar(-n) * factor
-                if delta and not self.quotient:
+                if delta and self.has_central:
                     coeffs[C2] = Scalar(m * m - m) + (eps * (m * m) + m) * beta
         elif b.family == "L":
             if delta:
                 common = Scalar(n) * (ONE + eps * n)
                 coeffs[I(m + n)] = common * alpha
-                if not self.quotient:
+                if self.has_central:
                     coeffs[C2] = common * beta
         else:
-            if delta and not self.quotient:
+            if delta and self.has_central:
                 coeffs[C3] = Fraction(n, 2)
         return Element(coeffs)
 
 
-def is_left_symmetric(params: LeftSymParams, window: Window, strata: str = "all") -> CheckReport:
+def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
     """Associator-symmetry check (x*y)*z - x*(y*z) = (y*x)*z - y*(x*z).
 
-    With ``strata="noncentral"`` the residual is projected away from the
-    central symbols before the zero test; the central strata follow the
-    printed coefficient table verbatim and are reported rather than
-    asserted.
+    Every counterexample carries its full residual; the central strata
+    follow the printed coefficient table verbatim, so a caller that
+    reports them rather than asserting them reads ``residual.noncentral()``.
     """
-    if strata not in ("all", "noncentral"):
-        raise ValueError("strata must be 'all' or 'noncentral'")
-    product = LeftSymProduct(params)
     keys = product.window_keys(window.n_max)
     triples = (((x, y, z), "left-symmetric") for x in keys for y in keys for z in keys)
 
     def residual(triple, _):
         ex, ey, ez = (Element.basis(k) for k in triple)
-        value = (
+        return (
             product.mul(product.mul(ex, ey), ez)
             - product.mul(ex, product.mul(ey, ez))
             - product.mul(product.mul(ey, ex), ez)
             + product.mul(ey, product.mul(ex, ez))
         )
-        return value.noncentral() if strata == "noncentral" else value
 
     return collect_report(residual, triples)
 
 
-@dataclass(frozen=True)
-class StratifiedResidual:
-    """Per-pair difference between the induced commutator and the bracket,
-    split into the noncentral part and the three central strata."""
-
-    pair: tuple
-    noncentral: Element
-    c1: Scalar
-    c2: Scalar
-    c3: Scalar
-
-    def is_zero(self) -> bool:
-        return (
-            self.noncentral.is_zero()
-            and not self.c1
-            and not self.c2
-            and not self.c3
-        )
-
-
-def subadjacent_residual(params: LeftSymParams, window: Window):
-    """Commutator-versus-bracket residuals for every ordered window pair."""
-    product = LeftSymProduct(params)
+def subadjacent_residual(product: LeftSymProduct, window: Window):
+    """Commutator-versus-bracket residuals ``((a, b), residual)`` for every
+    ordered window pair, against the bracket with the same center."""
+    bracket = LIE_HV if product.has_central else LIE_W00
     keys = product.window_keys(window.n_max)
-    out = []
-    for a in keys:
-        for b in keys:
-            residual = product.commutator_keys(a, b) - LIE_HV.mul_keys(a, b)
-            out.append(
-                StratifiedResidual(
-                    (a, b),
-                    residual.noncentral(),
-                    residual[C1],
-                    residual[C2],
-                    residual[C3],
-                )
-            )
-    return tuple(out)
+    return tuple(
+        ((a, b), product.commutator_keys(a, b) - bracket.mul_keys(a, b))
+        for a in keys for b in keys
+    )
+
+
+class _Commutator(Product):
+    """The skew product a*b - b*a induced by a product."""
+
+    name = "commutator"
+
+    def __init__(self, base: Product):
+        self.has_central = base.has_central
+        self.mul_keys = base.commutator_keys
 
 
 def check_derivation_inheritance(
-    d: LinearMap, params: LeftSymParams, window: Window
+    d: LinearMap, product: LeftSymProduct, window: Window
 ) -> CheckReport:
     """A derivation of the left-symmetric product must also derive its
     commutator; this checks the conclusion directly."""
-
-    class _Commutator(Product):
-        name = "leftsym-commutator"
-
-        def __init__(self, base):
-            self.base = base
-            self.has_central = base.has_central
-
-        def mul_keys(self, a, b):
-            return self.base.commutator_keys(a, b)
-
-    return is_derivation(d, _Commutator(LeftSymProduct(params)), window)
-
-
-def quotient_biderivation_space(
-    params: LeftSymParams,
-    window: Window,
-    out_bound: int,
-    n_int=None,
-    degree=None,
-) -> SolutionSpace:
-    """Windowed biderivation space of the quotient left-symmetric product;
-    the interior projection is expected to be trivial for admissible
-    parameters."""
-    product = LeftSymProduct(params, quotient=True)
-    space = solve_biderivations(product, window, out_bound, degree=degree)
-    if n_int is not None:
-        return interior_projection(space, n_int)
-    return space
+    return is_derivation(d, _Commutator(product), window)

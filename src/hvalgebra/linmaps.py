@@ -234,11 +234,12 @@ class CentralMap(LinearMap):
 
 
 class TabularMap(LinearMap):
-    """A map recorded on an explicit finite domain of basis keys."""
+    """A map recorded on the finite domain of basis keys its table names;
+    a key given a zero value is covered and maps to zero."""
 
-    def __init__(self, table, domain=None):
+    def __init__(self, table):
         self.table = {k: v for k, v in table.items() if v}
-        self.domain = frozenset(table) | frozenset(domain or ())
+        self.domain = frozenset(table)
 
     def apply_key(self, key):
         if key not in self.domain:
@@ -276,7 +277,7 @@ class SumMap(LinearMap):
 
 
 def tabulate(m: LinearMap, keys) -> TabularMap:
-    return TabularMap({k: m.apply_key(k) for k in keys}, domain=keys)
+    return TabularMap({k: m.apply_key(k) for k in keys})
 
 
 def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport:

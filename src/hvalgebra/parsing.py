@@ -34,6 +34,13 @@ from .linmaps import (
 )
 from .scalars import Scalar
 
+# The deepest expression tree parse_expression accepts.  The parser
+# recurses into brackets and evaluation into every level, so deeper input
+# is refused as it is read rather than left to exhaust the stack.
+MAX_EXPRESSION_DEPTH = 200
+_TOO_DEEP = f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep"
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -77,6 +84,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # tree levels of the open brackets
+        self.height = 0  # tree height of the expression part parsed last
 
     def peek(self):
         return self.tokens[self.pos]
@@ -209,22 +218,30 @@ class _Parser:
     def expression(self):
         """expr := additive ('o' additive)*, left associative."""
         node = self.additive()
+        height = self.height
         while self.peek()[0] == "name" and self.peek()[1] == "o":
             self.next()
             node = ("dot", node, self.additive())
+            height = max(height, self.height) + 1
+        if height > MAX_EXPRESSION_DEPTH:
+            self.fail(_TOO_DEEP)
+        self.height = height
         return node
 
     def additive(self):
         parts = []
+        height = 0
         negate = False
         if self.peek()[1] in ("+", "-"):
             negate = self.next()[1] == "-"
         while True:
             parts.append((negate, self.atom_term()))
+            height = max(height, self.height)
             kind, text, _ = self.peek()
             if text in ("+", "-"):
                 negate = self.next()[1] == "-"
                 continue
+            self.height = height + 2  # the sum and its scaled terms
             return ("sum", parts)
 
     def atom_term(self):
@@ -235,14 +252,22 @@ class _Parser:
         return ("scaled", Scalar(1), self.atom())
 
     def atom(self):
-        if self.peek()[1] == "[":
-            self.next()
-            left = self.expression()
-            self.expect(",")
-            right = self.expression()
-            self.expect("]")
-            return ("bracket", left, right)
-        return ("basis", self.basis_key())
+        if self.peek()[1] != "[":
+            self.height = 1
+            return ("basis", self.basis_key())
+        # checked on the way down: a bracket adds a sum, a scaled term and itself
+        self.nesting += 3
+        if self.nesting > MAX_EXPRESSION_DEPTH:
+            self.fail(_TOO_DEEP)
+        self.next()
+        left = self.expression()
+        height = self.height
+        self.expect(",")
+        right = self.expression()
+        self.expect("]")
+        self.nesting -= 3
+        self.height = max(height, self.height) + 1
+        return ("bracket", left, right)
 
     # -- omega literals ----------------------------------------------------
 
@@ -352,7 +377,6 @@ def parse_linear_map_file(text: str, lie: LieProduct = LIE_HV) -> LinearMap:
     """Build a linear map from tabular lines and directives; '@inner x' is
     ad(x) under the bracket ``lie``."""
     table = {}
-    domain = []
     central = {}
     parts = []
     for lineno, line in _content_lines(text):
@@ -385,13 +409,12 @@ def parse_linear_map_file(text: str, lie: LieProduct = LIE_HV) -> LinearMap:
                 value_text = value_text.strip()
                 value = Element.zero() if value_text == "0" else parse_element(value_text)
                 table[key] = value
-                domain.append(key)
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err}") from None
     if central:
         parts.append(CentralMap(central))
     if table or not parts:
-        parts.insert(0, TabularMap(table, domain=domain))
+        parts.insert(0, TabularMap(table))
     if len(parts) == 1:
         return parts[0]
     return SumMap(parts)

@@ -6,6 +6,7 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+from .core import C1, C2, C3
 from .linalg import SolutionSpace
 from .linmaps import CheckReport
 
@@ -51,29 +52,23 @@ def render_solution_space(space: SolutionSpace, fmt: str = "text") -> str:
 
 
 def render_strata_report(residuals, fmt: str = "text") -> str:
-    """Render the commutator-vs-bracket comparison, stratum by stratum."""
+    """Render ``((a, b), residual)`` commutator-vs-bracket pairs, stratum
+    by stratum."""
     total = len(residuals)
-    bad = [r for r in residuals if not r.is_zero()]
+    bad = [(pair, r) for pair, r in residuals if r]
     if fmt == "machine":
         lines = [f"pairs={total}", f"nonzero={len(bad)}"]
-        for r in bad:
-            a, b = r.pair
+        for (a, b), r in bad:
             lines.append(
-                f"residual\t({a},{b})\tnoncentral={r.noncentral}"
-                f"\tC1={r.c1}\tC2={r.c2}\tC3={r.c3}"
+                f"residual\t({a},{b})\tnoncentral={r.noncentral()}"
+                f"\tC1={r[C1]}\tC2={r[C2]}\tC3={r[C3]}"
             )
         return "\n".join(lines)
     lines = [f"pairs checked: {total}", f"pairs with nonzero residual: {len(bad)}"]
-    for r in bad:
-        a, b = r.pair
+    for (a, b), r in bad:
         parts = []
-        if r.noncentral:
-            parts.append(f"noncentral {r.noncentral}")
-        if r.c1:
-            parts.append(f"C1 {r.c1}")
-        if r.c2:
-            parts.append(f"C2 {r.c2}")
-        if r.c3:
-            parts.append(f"C3 {r.c3}")
+        if r.noncentral():
+            parts.append(f"noncentral {r.noncentral()}")
+        parts.extend(f"{key} {r[key]}" for key in (C1, C2, C3) if r[key])
         lines.append(f"  ({a}, {b}): " + "; ".join(parts))
     return "\n".join(lines)

@@ -41,8 +41,8 @@ from hvalgebra.core import (
 )
 from hvalgebra.leftsym import (
     LeftSymParams,
+    LeftSymProduct,
     is_left_symmetric,
-    quotient_biderivation_space,
     subadjacent_residual,
 )
 from hvalgebra.linalg import span_equal
@@ -268,18 +268,19 @@ def test_left_symmetric_family_verified_and_residuals_reported():
     )
     reports = []
     for params in param_sets:
-        identity = is_left_symmetric(params, Window(4), strata="noncentral")
-        assert identity.passed
+        product = LeftSymProduct(params)
+        identity = is_left_symmetric(product, Window(4))
+        assert not [c for c in identity.counterexamples if c.residual.noncentral()]
         assert identity.checked == 9261
 
-        residuals = subadjacent_residual(params, Window(6))
-        for r in residuals:
-            assert r.noncentral.is_zero(), r.pair
-            assert not r.c1, r.pair
+        residuals = subadjacent_residual(product, Window(6))
+        for pair, r in residuals:
+            assert r.noncentral().is_zero(), pair
+            assert not r[C1], pair
         # C2/C3 strata: deterministic report, values not asserted
         reports.append(render_strata_report(residuals))
     assert reports[0] == render_strata_report(
-        subadjacent_residual(param_sets[0], Window(6))
+        subadjacent_residual(LeftSymProduct(param_sets[0]), Window(6))
     )
     nonzero = reports[0].splitlines()[1]
     _conclude(
@@ -292,10 +293,10 @@ def test_left_symmetric_family_verified_and_residuals_reported():
 
 def test_quotient_left_symmetric_product_has_no_interior_biderivations():
     started = time.monotonic()
-    params = LeftSymParams(0, 0, Scalar(1, 1))
+    quotient = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)), quotient=True)
     for degree in range(-2, 3):
-        space = quotient_biderivation_space(
-            params, Window(2), 4, n_int=1, degree=degree
+        space = interior_projection(
+            solve_biderivations(quotient, Window(2), 4, degree=degree), 1
         )
         assert space.dimension == 0, degree
     elapsed = time.monotonic() - started
@@ -334,11 +335,9 @@ def test_reports_are_byte_identical_across_parallelism():
         for _ in range(2)
     ]
     assert postlie[0] == postlie[1]
-    params = LeftSymParams(0, 0, Scalar(1, 1))
+    product = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)))
     leftsym = [
-        render_check_report(
-            is_left_symmetric(params, Window(3), strata="noncentral")
-        )
+        render_check_report(is_left_symmetric(product, Window(3)))
         for _ in range(2)
     ]
     assert leftsym[0] == leftsym[1]
@@ -350,7 +349,7 @@ def test_reports_are_byte_identical_across_parallelism():
     ]
     assert derivation[0] == derivation[1]
     strata = [
-        render_strata_report(subadjacent_residual(params, Window(3)))
+        render_strata_report(subadjacent_residual(product, Window(3)))
         for _ in range(2)
     ]
     assert strata[0] == strata[1]

@@ -1,10 +1,15 @@
 """The command-line surface, driven in-process through main(argv)."""
 
+import subprocess
+import sys
 import threading
 
 import pytest
 
+from hvalgebra import cli
 from hvalgebra.cli import main
+from hvalgebra.core import C1, Element, L
+from hvalgebra.linmaps import CheckReport, Counterexample
 
 
 def run(capsys, *argv):
@@ -57,6 +62,27 @@ def test_parse_errors_exit_2(capsys):
     assert err.startswith("error:")
     code, _, err = run(capsys, "eval", "1/0*L(0)")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "expr, extra",
+    [
+        ("[" * 250 + "L(0)" + ", L(1)]" * 250, ()),
+        (" o ".join(["L(1)"] * 1500), ("--epsilon", "(1+i)")),
+    ],
+    ids=["nested-brackets", "o-chain"],
+)
+def test_eval_refuses_too_deep_expressions(expr, extra):
+    # a separate process, so the stack depth is the command's own
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvalgebra.cli", "eval", expr, *extra],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: expression nested more than")
 
 
 def test_duplicate_map_entries_exit_2(tmp_path, capsys):
@@ -217,6 +243,45 @@ def test_report_leftsym_always_succeeds(capsys):
     assert "(I(1), I(-1)): C3 -2" in out
     code, _, err = run(capsys, "report", "leftsym", "--window", "2")
     assert code == 2 and "--epsilon" in err
+
+
+def test_report_leftsym_evaluates_the_identity_once(capsys, monkeypatch):
+    calls = []
+    original = cli.is_left_symmetric
+
+    def counted(product, window):
+        calls.append(window)
+        return original(product, window)
+
+    monkeypatch.setattr(cli, "is_left_symmetric", counted)
+    code, out, _ = run(
+        capsys, "report", "leftsym", "--epsilon", "(1+i)", "--window", "1"
+    )
+    assert code == 0
+    assert "noncentral strata: pass (729 checked, 0 skipped)" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "residual, noncentral",
+    [(Element({C1: 1}), "pass"), (Element({L(0): 1, C1: 1}), "fail")],
+    ids=["central-only", "noncentral"],
+)
+def test_report_leftsym_noncentral_verdict_reads_the_residuals(
+    capsys, monkeypatch, residual, noncentral
+):
+    case = Counterexample((L(1), L(-1), L(0)), "left-symmetric", residual)
+    report = CheckReport(729, 0, (case,))
+    monkeypatch.setattr(cli, "is_left_symmetric", lambda product, window: report)
+    code, out, _ = run(
+        capsys, "report", "leftsym", "--epsilon", "(1+i)", "--window", "1"
+    )
+    assert code == 0
+    assert (
+        f"left-symmetric identity, noncentral strata: {noncentral} "
+        "(729 checked, 0 skipped)\n"
+        "left-symmetric identity, all strata: fail (1 nonzero residuals)\n"
+    ) in out
 
 
 def test_report_leftsym_prints_nothing_when_it_fails(capsys):

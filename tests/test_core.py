@@ -186,7 +186,8 @@ def test_exported_names_resolve():
     for name in hvalgebra.__all__:
         assert getattr(hvalgebra, name) is not None, name
     removed = {"AlgebraKind", "bracket", "bracket_keys", "center_basis",
-               "basis_window", "adjoint", "project_w00"}
+               "basis_window", "adjoint", "project_w00",
+               "quotient_biderivation_space"}
     assert not removed & set(hvalgebra.__all__)
     assert not [name for name in removed if hasattr(hvalgebra, name)]
 

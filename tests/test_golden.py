@@ -106,6 +106,12 @@ GOLDEN = [
         0,
     ),
     (
+        ("report", "leftsym", "--window", "2", "--epsilon", "(1+i)",
+         "--alpha", "1/2", "--format", "machine"),
+        "846b92e4f52951737f606b9ed92bec45a10edec29ebe097d48ed5ed78eaf0c0f",
+        0,
+    ),
+    (
         # checked 54, skipped 1404, counterexamples 16; symmetry: neither
         ("check", "biderivation", "--product", "lie-hv", "--window", "1",
          "--map", "{tabbider}"),
@@ -139,8 +145,8 @@ GOLDEN = [
     GOLDEN,
     ids=["graded", "ungraded", "interior", "commuting", "decompose",
          "check-biderivation", "check-postlie", "check-derivation",
-         "check-commuting", "report-leftsym", "skip-biderivation",
-         "skip-derivation", "skip-commuting", "skip-postlie"],
+         "check-commuting", "report-leftsym", "report-leftsym-machine",
+         "skip-biderivation", "skip-derivation", "skip-commuting", "skip-postlie"],
 )
 def test_report_digest(argv, digest, code, tmp_path, capsys):
     paths = {}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hvalgebra.bimaps import interior_projection, solve_biderivations
 from hvalgebra.core import C1, C2, C3, Element, I, L
 from hvalgebra.errors import ZeroDenominator
 from hvalgebra.leftsym import (
@@ -14,7 +15,6 @@ from hvalgebra.leftsym import (
     check_derivation_inheritance,
     is_left_symmetric,
     params_valid,
-    quotient_biderivation_space,
     subadjacent_residual,
 )
 from hvalgebra.linmaps import TabularMap, Window, is_derivation
@@ -67,6 +67,7 @@ def test_product_values():
 
 def test_quotient_product_drops_central_terms():
     quot = LeftSymProduct(PLAIN, quotient=True)
+    assert not quot.has_central and quot.name == "leftsym-quotient"
     assert quot.mul_keys(I(2), I(-2)).is_zero()
     assert quot.mul_keys(L(1), L(-1)) == Element({L(0): Scalar(0, -1)})
     with pytest.raises(ValueError):
@@ -85,33 +86,35 @@ def test_vanishing_denominators():
     "params", [PLAIN, TWISTED, LeftSymParams(0, 0, Scalar(0, 1))]
 )
 def test_associator_symmetry(params):
-    report = is_left_symmetric(params, Window(3), strata="noncentral")
-    assert report.passed
+    product = LeftSymProduct(params)
+    report = is_left_symmetric(product, Window(3))
+    assert not [c for c in report.counterexamples if c.residual.noncentral()]
     assert report.checked == 4913
     # the identity in fact holds with the central strata included
-    report = is_left_symmetric(params, Window(2), strata="all")
+    report = is_left_symmetric(product, Window(2))
     assert report.passed
-    with pytest.raises(ValueError):
-        is_left_symmetric(params, Window(2), strata="c2")
 
 
 def test_commutator_matches_bracket_outside_two_central_strata():
-    residuals = subadjacent_residual(PLAIN, Window(3))
+    residuals = subadjacent_residual(LeftSymProduct(PLAIN), Window(3))
     assert len(residuals) == 289
-    nonzero = [r for r in residuals if not r.is_zero()]
+    nonzero = [r for _, r in residuals if not r.is_zero()]
     assert len(nonzero) == 18
-    by_pair = {r.pair: r for r in residuals}
-    for r in residuals:
-        assert r.noncentral.is_zero()
-        assert not r.c1
+    by_pair = dict(residuals)
+    for _, r in residuals:
+        assert r.noncentral().is_zero()
+        assert not r[C1]
     for m in range(-3, 4):
-        assert by_pair[(L(m), I(-m))].c2 == Scalar(2 * m * m)
-        assert by_pair[(I(m), I(-m))].c3 == Scalar(-2 * m)
+        assert by_pair[(L(m), I(-m))][C2] == Scalar(2 * m * m)
+        assert by_pair[(I(m), I(-m))][C3] == Scalar(-2 * m)
     # the two defective strata are parameter-independent
-    twisted = {r.pair: r for r in subadjacent_residual(TWISTED, Window(3))}
+    twisted = dict(subadjacent_residual(LeftSymProduct(TWISTED), Window(3)))
     for pair, r in by_pair.items():
-        assert twisted[pair].c2 == r.c2
-        assert twisted[pair].c3 == r.c3
+        assert twisted[pair][C2] == r[C2]
+        assert twisted[pair][C3] == r[C3]
+    # so on the quotient the commutator is exactly the quotient bracket
+    quotient = LeftSymProduct(TWISTED, quotient=True)
+    assert not any(r for _, r in subadjacent_residual(quotient, Window(3)))
 
 
 def _grading_map(n_max):
@@ -131,14 +134,15 @@ def test_grading_map_derives_the_product_and_its_commutator():
     assert report.checked == 289
     assert report.skipped == 0
     for params in (PLAIN, TWISTED):
-        report = check_derivation_inheritance(grading, params, Window(3))
+        report = check_derivation_inheritance(grading, LeftSymProduct(params), Window(3))
         assert report.passed
         assert report.skipped == 0
 
 
 def test_quotient_biderivation_space_is_trivial_inside():
+    quotient = LeftSymProduct(TWISTED, quotient=True)
     for degree in (-1, 0, 1):
-        space = quotient_biderivation_space(
-            TWISTED, Window(2), 4, n_int=1, degree=degree
+        space = interior_projection(
+            solve_biderivations(quotient, Window(2), 4, degree=degree), 1
         )
         assert space.dimension == 0

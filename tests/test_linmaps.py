@@ -88,7 +88,7 @@ def test_central_map_validates_values():
 
 
 def test_tabular_map_domain():
-    m = TabularMap({L(1): E(I(1))}, domain=[L(1)])
+    m = TabularMap({L(1): E(I(1))})
     with pytest.raises(DomainNotCovered):
         m.apply_key(L(2))
     report = is_derivation(m, LIE_HV, Window(2))
@@ -159,7 +159,7 @@ def test_decompose_shift_table():
     for n in range(-4, 5):
         table[L(n)] = E(I(n))
         table[I(n)] = Element.zero()
-    d = TabularMap(table, domain=list(table))
+    d = TabularMap(table)
     got = decompose_derivation(d, Window(4))
     assert got is not None
     assert got.inner.is_zero()
@@ -175,14 +175,14 @@ def test_decompose_rejects_non_derivations():
     for n in range(-4, 5):
         table[L(n)] = E(L(n))
         table[I(n)] = Element.zero()
-    d = TabularMap(table, domain=list(table))
+    d = TabularMap(table)
     assert decompose_derivation(d, Window(4)) is None
 
 
 def test_decompose_needs_coverage_and_room():
     with pytest.raises(ValueError):
         decompose_derivation(D1, Window(2))
-    partial = TabularMap({L(0): Element.zero()}, domain=[L(0)])
+    partial = TabularMap({L(0): Element.zero()})
     with pytest.raises(DomainNotCovered):
         decompose_derivation(partial, Window(3))
 

@@ -13,6 +13,7 @@ from hvalgebra.errors import DomainNotCovered, ParseError
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linmaps import CentralMap, SumMap, TabularMap
 from hvalgebra.parsing import (
+    MAX_EXPRESSION_DEPTH,
     evaluate_expression,
     parse_basis_key,
     parse_bilinear_map_file,
@@ -102,6 +103,24 @@ def test_error_positions():
     assert err.value.position == 9
     with pytest.raises(ParseError, match="zero denominator"):
         parse_scalar("1/0")
+
+
+def test_expression_depth_is_bounded():
+    # an n-term 'o' chain is n - 1 products over a sum, a scaled term and
+    # a basis symbol; each bracket adds a sum, a scaled term and itself
+    chain = " o ".join(["L(1)"] * (MAX_EXPRESSION_DEPTH - 2))
+    parse_expression(chain)
+    with pytest.raises(ParseError, match="levels deep"):
+        parse_expression(chain + " o L(1)")
+    nest = (MAX_EXPRESSION_DEPTH - 3) // 3
+    expected = Element.basis(I(1))
+    for _ in range(nest):
+        expected = LIE_HV.mul(Element.basis(L(1)), expected)
+    assert _eval("[L(1), " * nest + "I(1)" + "]" * nest) == expected
+    # one more is refused once read, two more while the parser descends
+    for deeper in (nest + 1, nest + 2):
+        with pytest.raises(ParseError, match="levels deep"):
+            parse_expression("[" * deeper + "L(0)" + ", L(1)]" * deeper)
 
 
 def _eval(text, lie=LIE_HV, ls_product=None):
