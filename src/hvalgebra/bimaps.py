@@ -16,7 +16,7 @@ rows can only enlarge the solution space, never corrupt it).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import (
     LIE_HV,
@@ -164,8 +164,12 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     """Exhaustive check of both biderivation identities on the window.
 
     Instances that need a bilinear-map value the map does not cover
-    (tabular domain or output-bound gaps) are counted as skipped.
+    (tabular domain or output-bound gaps) are counted as skipped.  Each
+    key pair's value is read once per call, by a cache that dies with the
+    call; an uncovered pair raises every time, since the cache keeps no
+    exception.
     """
+    f_keys = lru_cache(maxsize=None)(partial(f.eval_keys, product))
     keys = product.window_keys(window.n_max)
     instances = (
         ((x, y, z), eq)
@@ -178,8 +182,8 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     def residual(xyz, eq):
         x, y, z = xyz
         if eq == "first-slot":
-            return leibniz_residual(product, lambda k: f.eval_keys(product, k, z), x, y)
-        return leibniz_residual(product, lambda k: f.eval_keys(product, x, k), y, z)
+            return leibniz_residual(product, lambda k: f_keys(k, z), x, y)
+        return leibniz_residual(product, lambda k: f_keys(x, k), y, z)
 
     return collect_report(residual, instances)
 
@@ -187,17 +191,18 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
 def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> str:
     """Classify f as "symmetric", "skew" or "neither" on the window.
 
-    The zero map is both; it reports as "symmetric".
+    The zero map is both; it reports as "symmetric".  Each unordered pair
+    is read once; on the diagonal t is s, so only skewness can fail there.
     """
     product = product or LIE_HV
     keys = product.window_keys(window.n_max)
     symmetric = True
     skew = True
-    for a in keys:
-        for b in keys:
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
             try:
                 s = f.eval_keys(product, a, b)
-                t = f.eval_keys(product, b, a)
+                t = s if a == b else f.eval_keys(product, b, a)
             except DomainNotCovered:
                 continue
             if s != t:

@@ -9,6 +9,8 @@ span on a window.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .core import Element, LIE_HV, plain_constants
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import (
@@ -30,14 +32,16 @@ def make_commuting(coeff, table=None) -> LinearMap:
 
 
 def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
-    """Exhaustive polarized check over unordered window pairs."""
+    """Exhaustive polarized check over unordered window pairs.  Each key's
+    value is read once per call, by a cache that dies with the call."""
+    phi_key = lru_cache(maxsize=None)(phi.apply_key)
     keys = LIE_HV.window_keys(window.n_max)
     pairs = (((a, b), "polarized") for i, a in enumerate(keys) for b in keys[i:])
 
     def residual(pair, _):
         a, b = pair
         ea, eb = Element.basis(a), Element.basis(b)
-        return LIE_HV.mul(phi(ea), eb) + LIE_HV.mul(phi(eb), ea)
+        return LIE_HV.mul(phi_key(a), eb) + LIE_HV.mul(phi_key(b), ea)
 
     return collect_report(residual, pairs)
 

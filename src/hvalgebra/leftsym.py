@@ -128,17 +128,20 @@ def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
     Every counterexample carries its full residual; the central strata
     follow the printed coefficient table verbatim, so a caller that
     reports them rather than asserting them reads ``residual.noncentral()``.
+    The inner products are the product's own cached ``mul_keys`` values.
     """
     keys = product.window_keys(window.n_max)
     triples = (((x, y, z), "left-symmetric") for x in keys for y in keys for z in keys)
+    mul, mul_keys = product.mul, product.mul_keys
 
     def residual(triple, _):
+        x, y, z = triple
         ex, ey, ez = (Element.basis(k) for k in triple)
         return (
-            product.mul(product.mul(ex, ey), ez)
-            - product.mul(ex, product.mul(ey, ez))
-            - product.mul(product.mul(ey, ex), ez)
-            + product.mul(ey, product.mul(ex, ez))
+            mul(mul_keys(x, y), ez)
+            - mul(ex, mul_keys(y, z))
+            - mul(mul_keys(y, x), ez)
+            + mul(ey, mul_keys(x, z))
         )
 
     return collect_report(residual, triples)

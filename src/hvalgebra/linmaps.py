@@ -15,6 +15,7 @@ and vanish on the central symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     LIE_HV,
@@ -284,12 +285,14 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
     """Exhaustive Leibniz check of ``m`` against ``product`` on the window.
 
     Pairs whose product support (or arguments) escape a tabular map's
-    domain are counted as skipped, never as failures.
+    domain are counted as skipped, never as failures.  Each key's value
+    is read once per call, by a cache that dies with the call.
     """
+    m_key = lru_cache(maxsize=None)(m.apply_key)
     keys = product.window_keys(window.n_max)
     pairs = (((a, b), "leibniz") for a in keys for b in keys)
     return collect_report(
-        lambda pair, _: leibniz_residual(product, m.apply_key, *pair), pairs
+        lambda pair, _: leibniz_residual(product, m_key, *pair), pairs
     )
 
 

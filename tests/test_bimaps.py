@@ -1,6 +1,7 @@
 """Bilinear maps, the two-slot derivation axioms, and the window solver."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,18 @@ def E(key):
 
 def all_pairs(keys):
     return [(a, b) for a in keys for b in keys]
+
+
+class CountingClassified(Classified):
+    """The reference family, counting how often each key pair is read."""
+
+    def __init__(self, coeff, omega):
+        super().__init__(coeff, omega)
+        self.reads = Counter()
+
+    def eval_keys(self, product, a, b):
+        self.reads[(a, b)] += 1
+        return super().eval_keys(product, a, b)
 
 
 def test_omega_normalization():
@@ -131,6 +144,47 @@ def test_symmetry_classes():
     assert symmetry_class(Inner(Scalar(1)), w) == "skew"
     assert symmetry_class(Classified(Scalar(1), Omega({0: 1})), w) == "neither"
     assert symmetry_class(Inner(Scalar(0)), w) == "symmetric"
+
+
+def test_biderivation_check_reads_each_pair_once_per_call():
+    f = CountingClassified(Scalar(2, -1), Omega({0: 1, -1: 3}))
+    first = is_biderivation(f, LIE_HV, Window(2))
+    once = dict(f.reads)
+    assert max(once.values()) == 1
+    # no cache outlives the call: a second check reads every pair again
+    assert is_biderivation(f, LIE_HV, Window(2)) == first
+    assert f.reads == Counter({pair: 2 for pair in once})
+
+
+def test_symmetry_class_reads_each_unordered_pair_once():
+    keys = LIE_HV.window_keys(2)
+    f = CountingClassified(0, Omega({0: 1}))  # symmetric: no early exit
+    assert symmetry_class(f, Window(2), LIE_HV) == "symmetric"
+    # each unordered pair reads its two orders, the diagonal its one
+    assert f.reads == Counter({pair: 1 for pair in all_pairs(keys)})
+
+
+def test_uncovered_pair_is_skipped_by_every_instance_that_needs_it():
+    """The one uncovered pair (I(2), I(2)) raises for every instance that
+    reads it, not once per check.  The table covers every other pair of
+    keys up to index 4, where window products reach.  On the quotient at
+    W2 (10 keys) the
+    first-slot instance (x, y, z) reads f(x, z), f(y, z) and f(k, z) for k
+    in supp [x, y], so it needs the pair when z = I(2) and x = I(2),
+    y = I(2) or I(2) is in supp [x, y].  That is 19 pairs (x, y) with an
+    I(2) plus (L(1), I(1)) and (I(1), L(1)); the other brackets that reach
+    I(2), [L(0), I(2)] and [I(2), L(0)], already have one.  So 21
+    first-slot instances, and by the same count with x = I(2) fixed, 21
+    second-slot ones."""
+    keys = LIE_W00.window_keys(2)
+    hole = (I(2), I(2))
+    pairs = [pair for pair in all_pairs(LIE_W00.window_keys(4)) if pair != hole]
+    family = Classified(Scalar(1, 1), Omega({0: 2}))
+    f = TabularBilinear({p: family.eval_keys(LIE_W00, *p) for p in pairs}, pairs)
+    report = is_biderivation(f, LIE_W00, Window(2))
+    assert report.skipped == 42
+    assert report.checked + report.skipped == 2 * len(keys) ** 3
+    assert report.passed
 
 
 def test_eval_raises_at_an_uncovered_pair_of_a_sum():

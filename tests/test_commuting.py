@@ -1,6 +1,7 @@
 """Commuting linear maps: construction, the polarized check, the solver."""
 
 import random
+from collections import Counter
 
 from hvalgebra.commuting import (
     generator_span,
@@ -10,7 +11,7 @@ from hvalgebra.commuting import (
 )
 from hvalgebra.core import LIE_HV, C1, C2, Element, I, L
 from hvalgebra.linalg import span_equal
-from hvalgebra.linmaps import D3, InnerAd, Window
+from hvalgebra.linmaps import D3, InnerAd, SumMap, Window
 from hvalgebra.scalars import Scalar
 
 
@@ -54,6 +55,26 @@ def test_polarized_residuals_of_non_commuting_maps():
     assert not report.passed
     assert report.counterexamples[0].inputs == (L(-2), L(-2))
     assert report.counterexamples[0].residual == Element({L(-3): 6})
+
+
+def test_commuting_check_reads_each_key_once_per_call():
+    class Counting(SumMap):
+        def __init__(self, parts):
+            super().__init__(parts)
+            self.reads = Counter()
+
+        def apply_key(self, key):
+            self.reads[key] += 1
+            return super().apply_key(key)
+
+    phi = Counting((make_commuting(Scalar(2, 1), {L(1): Element({C1: 3})}),))
+    first = is_commuting(phi, Window(2))
+    keys = LIE_HV.window_keys(2)
+    assert first.passed
+    assert phi.reads == Counter(keys)
+    # no cache outlives the call: a second check reads every key again
+    assert is_commuting(phi, Window(2)) == first
+    assert phi.reads == Counter({key: 2 for key in keys})
 
 
 def test_solver_dimension_and_interior_span():

@@ -1,6 +1,7 @@
 """Linear maps: structured derivations, the axiom checker, decomposition."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,18 @@ from hvalgebra.scalars import Scalar
 
 def E(key):
     return Element.basis(key)
+
+
+class CountingMap(SumMap):
+    """A sum of maps, counting how often each key is read."""
+
+    def __init__(self, parts):
+        super().__init__(parts)
+        self.reads = Counter()
+
+    def apply_key(self, key):
+        self.reads[key] += 1
+        return super().apply_key(key)
 
 
 def test_window_validation():
@@ -192,6 +205,16 @@ def test_derivation_check_is_deterministic():
     report2 = is_derivation(D2, LIE_W00, Window(4))
     assert report1.passed and report2.passed
     assert report1.checked == report2.checked
+
+
+def test_derivation_check_reads_each_key_once_per_call():
+    m = CountingMap((D2, ScaledMap(D3, Scalar(0, 2)), InnerAd(LIE_W00, E(L(1)))))
+    first = is_derivation(m, LIE_W00, Window(3))
+    once = dict(m.reads)
+    assert first.passed and max(once.values()) == 1
+    # no cache outlives the call: a second check reads every key again
+    assert is_derivation(m, LIE_W00, Window(3)) == first
+    assert m.reads == Counter({key: 2 for key in once})
 
 
 def test_collect_report_skips_only_uncovered_items():

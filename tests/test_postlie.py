@@ -1,12 +1,25 @@
 """Commutative post-Lie candidates: the probe and the exhaustive check."""
 
 import random
+from collections import Counter
 
 from hvalgebra.bimaps import Classified, Omega, ROmega
 from hvalgebra.core import Element, I, L
 from hvalgebra.linmaps import Window
 from hvalgebra.postlie import is_commutative_postlie, postlie_residual
 from hvalgebra.scalars import Scalar
+
+
+class CountingClassified(Classified):
+    """The reference family, counting how often each key pair is read."""
+
+    def __init__(self, coeff, omega):
+        super().__init__(coeff, omega)
+        self.reads = Counter()
+
+    def eval_keys(self, product, a, b):
+        self.reads[(a, b)] += 1
+        return super().eval_keys(product, a, b)
 
 
 def test_probe_values():
@@ -68,6 +81,16 @@ def test_inner_part_breaks_commutativity():
 
     diff = f.eval_keys(LIE_HV, L(1), L(2)) - f.eval_keys(LIE_HV, L(2), L(1))
     assert diff == Element({L(3): lam * -2})
+
+
+def test_postlie_check_reads_each_pair_once_per_call():
+    f = CountingClassified(Scalar(1, -1), Omega({0: 1, 2: 3}))
+    first = is_commutative_postlie(f, Window(2))
+    once = dict(f.reads)
+    assert max(once.values()) == 1
+    # no cache outlives the call: a second check reads every pair again
+    assert is_commutative_postlie(f, Window(2)) == first
+    assert f.reads == Counter({pair: 2 for pair in once})
 
 
 def test_central_arguments_are_silent():
