@@ -16,7 +16,7 @@ rows can only enlarge the solution space, never corrupt it).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from .core import (
     LIE_HV,
@@ -32,7 +32,14 @@ from .core import (
 )
 from .errors import DomainNotCovered
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
-from .linmaps import CheckReport, Window, admission, collect_report, leibniz_residual
+from .linmaps import (
+    CheckReport,
+    Window,
+    admission,
+    collect_report,
+    leibniz_residual,
+    scaled_values,
+)
 from .scalars import Scalar
 
 
@@ -169,7 +176,8 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     call; an uncovered pair raises every time, since the cache keeps no
     exception.
     """
-    f_keys = lru_cache(maxsize=None)(partial(f.eval_keys, product))
+    f_keys = scaled_values(lambda a, b: f.eval_keys(product, a, b).items())
+    mul = scaled_values(plain_constants(product))
     keys = product.window_keys(window.n_max)
     instances = (
         ((x, y, z), eq)
@@ -182,8 +190,8 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     def residual(xyz, eq):
         x, y, z = xyz
         if eq == "first-slot":
-            return leibniz_residual(product, lambda k: f_keys(k, z), x, y)
-        return leibniz_residual(product, lambda k: f_keys(x, k), y, z)
+            return leibniz_residual(mul, lambda k: f_keys(k, z), x, y)
+        return leibniz_residual(mul, lambda k: f_keys(x, k), y, z)
 
     return collect_report(residual, instances)
 

@@ -15,7 +15,9 @@ and vanish on the central symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .core import (
     LIE_HV,
@@ -26,11 +28,12 @@ from .core import (
     LieProduct,
     Product,
     linear_extension,
+    plain_constants,
 )
 from .errors import DomainNotCovered, NotCentral
 from .linalg import LinearSystem
 from .parallel import run_ordered
-from .scalars import Scalar, plain
+from .scalars import Scalar, gaussian_integers, plain
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,74 @@ def admission(shifts, out_bound: int):
     return lambda w: w.is_central or lo <= w.index <= hi
 
 
-def leibniz_residual(product: Product, d, a: BasisKey, b: BasisKey) -> Element:
-    """d(a*b) - d(a)*b - a*d(b), where ``d`` maps a basis key to an Element.
+def scaled_values(read):
+    """``read`` as a cache of ``scalars.gaussian_integers`` values.
 
-    Every derivation-type identity of the package is this rule for some
-    ``d``; the result is zero exactly when the rule holds at (a, b).
+    ``read(*keys)`` returns ``(key, number)`` pairs: a map value's
+    ``items()``, or ``core.plain_constants``' structure constants.  Each
+    checker makes its caches per call, so they die with the call.  An
+    exception is not cached, so an uncovered argument (DomainNotCovered)
+    raises on every read.
     """
-    lhs = linear_extension(d, product.mul_keys(a, b))
-    # all values before any product, so an uncovered key is what raises
-    da, db = d(a), d(b)
-    return lhs - product.mul(da, Element.basis(b)) - product.mul(Element.basis(a), db)
+    return lru_cache(maxsize=None)(lambda *keys: gaussian_integers(read(*keys)))
+
+
+def gaussian_sum(parts) -> Element:
+    """The sum over ``(sign, value, read)`` parts of ``sign * sum of c*read(k)``
+    for each coefficient c at key k of ``value``.
+
+    ``value`` and every ``read(k)`` are scaled values (``scaled_values``).
+    All reads come first; then the products are summed as Gaussian
+    integers, in ints, over the lcm of their denominators.  A Scalar is
+    made only for a nonzero coordinate of the sum.
+    """
+    terms = []
+    for sign, (cd, coeffs), read in parts:
+        for k, re, im in coeffs:
+            vd, v = read(k)
+            terms.append((cd * vd, sign * re, sign * im, v))
+    den = lcm(*[term[0] for term in terms])
+    acc = {}
+    get = acc.get
+    for e, cr, ci, entries in terms:
+        if e != den:
+            m = den // e
+            cr *= m
+            ci *= m
+        for key, re, im in entries:
+            r = cr * re - ci * im
+            i = cr * im + ci * re
+            old = get(key)
+            if old is None:
+                acc[key] = [r, i]
+            else:
+                old[0] += r
+                old[1] += i
+    return Element(
+        {
+            key: Scalar(Fraction(r, den), Fraction(i, den))
+            for key, (r, i) in acc.items()
+            if r or i
+        }
+    )
+
+
+def leibniz_residual(mul, d, a: BasisKey, b: BasisKey) -> Element:
+    """d(a*b) - d(a)*b - a*d(b) at basis keys a, b.
+
+    ``mul`` reads the structure constants and ``d`` the map on a basis
+    key, both as ``scaled_values``.  Every derivation-type identity of the
+    package is this rule for some ``d``; the result is zero exactly when
+    the rule holds at (a, b).  Every value of ``d`` is read before any
+    product, so an uncovered key is what raises.
+    """
+    return gaussian_sum(
+        (
+            (1, mul(a, b), d),
+            (-1, d(a), lambda u: mul(u, b)),
+            (-1, d(b), lambda u: mul(a, u)),
+        )
+    )
 
 
 class LinearMap:
@@ -288,12 +349,11 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
     domain are counted as skipped, never as failures.  Each key's value
     is read once per call, by a cache that dies with the call.
     """
-    m_key = lru_cache(maxsize=None)(m.apply_key)
+    m_key = scaled_values(lambda k: m.apply_key(k).items())
+    mul = scaled_values(plain_constants(product))
     keys = product.window_keys(window.n_max)
     pairs = (((a, b), "leibniz") for a in keys for b in keys)
-    return collect_report(
-        lambda pair, _: leibniz_residual(product, m_key, *pair), pairs
-    )
+    return collect_report(lambda pair, _: leibniz_residual(mul, m_key, *pair), pairs)
 
 
 @dataclass(frozen=True)

@@ -15,30 +15,49 @@ vanishes.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-
-from .core import Element, L, LIE_HV, linear_extension
+from .core import Element, L, LIE_HV, plain_constants
 from .bimaps import BilinearMap, Omega, ROmega
-from .linmaps import CheckReport, Window, collect_report, leibniz_residual
+from .linmaps import (
+    CheckReport,
+    Window,
+    collect_report,
+    gaussian_sum,
+    leibniz_residual,
+    scaled_values,
+)
 
 
-def _lie_action_residual(f_keys, x, y, z) -> Element:
+def _scaled_readers(f: BilinearMap):
+    """The bracket's constants and ``f`` on a pair of basis keys, as
+    ``scaled_values`` caches."""
+    mul = scaled_values(plain_constants(LIE_HV))
+    return mul, scaled_values(lambda a, b: f.eval_keys(LIE_HV, a, b).items())
+
+
+def _basis(key) -> tuple:
+    """The basis element of ``key`` as a scaled value."""
+    return 1, ((key, 1, 0),)
+
+
+def _lie_action_residual(mul, f, x, y, z) -> Element:
     """f([x, y], z) - f(x, f(y, z)) + f(y, f(x, z)) at basis keys x, y, z,
-    by direct evaluation of both sides from ``f_keys(a, b)``, the map on a
-    pair of basis keys."""
-    lhs = linear_extension(lambda k: f_keys(k, z), LIE_HV.mul_keys(x, y))
-    rhs = linear_extension(lambda k: f_keys(x, k), f_keys(y, z)) - linear_extension(
-        lambda k: f_keys(y, k), f_keys(x, z)
+    by direct evaluation of both sides; ``mul`` and ``f`` are the scaled
+    readers of ``_scaled_readers``, and the nested values multiply as
+    Gaussian integers."""
+    return gaussian_sum(
+        (
+            (1, mul(x, y), lambda k: f(k, z)),
+            (-1, f(y, z), lambda u: f(x, u)),
+            (1, f(x, z), lambda u: f(y, u)),
+        )
     )
-    return lhs - rhs
 
 
 def is_commutative_postlie(f: BilinearMap, window: Window) -> CheckReport:
     """Exhaustive check of all three identities over the window.  Each key
     pair's value is read once per call, by a cache that dies with the call."""
-    product = LIE_HV
-    f_keys = lru_cache(maxsize=None)(partial(f.eval_keys, product))
-    keys = product.window_keys(window.n_max)
+    mul, f_keys = _scaled_readers(f)
+    keys = LIE_HV.window_keys(window.n_max)
 
     def instances():
         for i, x in enumerate(keys):
@@ -53,11 +72,11 @@ def is_commutative_postlie(f: BilinearMap, window: Window) -> CheckReport:
     def residual(inputs, tag):
         if tag == "commutative":
             x, y = inputs
-            return f_keys(x, y) - f_keys(y, x)
+            return gaussian_sum(((1, f_keys(x, y), _basis), (-1, f_keys(y, x), _basis)))
         if tag == "lie-action":
-            return _lie_action_residual(f_keys, *inputs)
+            return _lie_action_residual(mul, f_keys, *inputs)
         x, y, z = inputs
-        return leibniz_residual(product, lambda k: f_keys(x, k), y, z)
+        return leibniz_residual(mul, lambda k: f_keys(x, k), y, z)
 
     return collect_report(residual, instances())
 
@@ -65,6 +84,4 @@ def is_commutative_postlie(f: BilinearMap, window: Window) -> CheckReport:
 def postlie_residual(omega: Omega) -> Element:
     """Residual of the lie-action identity at (L(2), L(1), L(3)) for the
     symmetric family."""
-    return _lie_action_residual(
-        partial(ROmega(omega).eval_keys, LIE_HV), L(2), L(1), L(3)
-    )
+    return _lie_action_residual(*_scaled_readers(ROmega(omega)), L(2), L(1), L(3))

@@ -3,7 +3,9 @@
 Scalar is the coefficient type of elements, maps and solved bases: a
 complex number whose real and imaginary parts are arbitrary-precision
 Fractions.  A windowed solve's rows hold ``plain`` numbers (int, Fraction,
-or Scalar only when not real) and only its basis is made of Scalars.
+or Scalar only when not real) and only its basis is made of Scalars.  A
+checker's residuals are sums of ``gaussian_integers`` values, and only a
+nonzero residual coordinate is made a Scalar.
 Every operation is exact, so downstream zero tests are decisive; no
 module in this package owns a tolerance.
 
@@ -19,6 +21,7 @@ hashing and text do not depend on which path made a value.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 _REAL = Fraction(0)  # the shared imaginary part of real results
 
@@ -192,6 +195,22 @@ def plain(value):
             return value
         value = value.re
     return value.numerator if value.denominator == 1 else value
+
+
+def gaussian_integers(pairs) -> tuple:
+    """``(key, number)`` pairs of ints, Fractions or Scalars as
+    ``(den, ((key, re, im), ...))``: Gaussian-integer numerators over their
+    least common denominator ``den``, every entry an int."""
+    parts = []
+    den = 1
+    for key, value in pairs:
+        re, im = (value.re, value.im) if type(value) is Scalar else (value, 0)
+        den = lcm(den, re.denominator, im.denominator)
+        parts.append((key, re, im))
+    return den, tuple(
+        (key, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for key, re, im in parts
+    )
 
 
 def reciprocal(value):

@@ -44,6 +44,10 @@ MAPS = {
                 "(L(-1), L(1)) -> L(0) + I(0)\n@inner 1\n",
     "tabderiv": "L(0) -> 0\nL(1) -> I(1)\nI(1) -> 2*I(1)\n@d3 1\n",
     "tabcomm": "L(0) -> 2*L(0) + C1\nI(0) -> 2*I(0)\n@central L(1) -> C2\n",
+    # non-integer Gaussian coefficients, so residual text with fractional
+    # and complex parts is pinned
+    "gaussbider": "@inner (5/3+1/2i)\n@romega { 1: (3/2+3/2i), 3: (-1/2+6/5i) }\n",
+    "gaussderiv": "@inner (1/2+i)*L(1)\n@d1 (2/3-i)\n",
 }
 
 GOLDEN = [
@@ -137,6 +141,26 @@ GOLDEN = [
         "432d83da99e86a3ab74ce707ae290b4093a71d68b6c06cec4223bb225cac37f2",
         1,
     ),
+    (
+        # checked 4394, counterexamples 120; the Fraction C1 constant
+        ("check", "biderivation", "--product", "lie-hv", "--window", "2",
+         "--map", "{gaussbider}"),
+        "a2444aed993ec9facf5fbc94de2a3a078f3b9faa6223988d2d8982d2b66761da",
+        1,
+    ),
+    (
+        # checked 169, counterexamples 38; non-real structure constants
+        ("check", "derivation", "--product", "leftsym", "--epsilon", "(1+i)",
+         "--alpha", "1/2", "--window", "2", "--map", "{gaussderiv}"),
+        "617f8a289b2fa28ea8b8ac447ffd5693b155b156ac1ce9ab42e983b4b3148113",
+        1,
+    ),
+    (
+        # checked 4472, counterexamples 140
+        ("check", "postlie", "--product", "@romega {{ 1: (1/2+i) }}", "--window", "2"),
+        "5c33f1dd07e15134224a7b66273708d2f02a574b89504a1d91df4aeedcb7e69d",
+        1,
+    ),
 ]
 
 
@@ -146,7 +170,8 @@ GOLDEN = [
     ids=["graded", "ungraded", "interior", "commuting", "decompose",
          "check-biderivation", "check-postlie", "check-derivation",
          "check-commuting", "report-leftsym", "report-leftsym-machine",
-         "skip-biderivation", "skip-derivation", "skip-commuting", "skip-postlie"],
+         "skip-biderivation", "skip-derivation", "skip-commuting", "skip-postlie",
+         "gauss-biderivation", "gauss-derivation", "gauss-postlie"],
 )
 def test_report_digest(argv, digest, code, tmp_path, capsys):
     paths = {}
