@@ -34,9 +34,11 @@ from .core import (
     I,
     L,
     Product,
+    plain_constants,
 )
 from .errors import ZeroDenominator
 from .linmaps import CheckReport, LinearMap, Window, collect_report, is_derivation
+from .linmaps import gaussian_sum, scaled_values
 from .scalars import ONE, Scalar
 
 
@@ -128,20 +130,22 @@ def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
     Every counterexample carries its full residual; the central strata
     follow the printed coefficient table verbatim, so a caller that
     reports them rather than asserting them reads ``residual.noncentral()``.
-    The inner products are the product's own cached ``mul_keys`` values.
+    The residual is one ``linmaps.gaussian_sum`` of the four products, on
+    structure constants read once per key pair as ``scaled_values``.
     """
     keys = product.window_keys(window.n_max)
     triples = (((x, y, z), "left-symmetric") for x in keys for y in keys for z in keys)
-    mul, mul_keys = product.mul, product.mul_keys
+    mul = scaled_values(plain_constants(product))
 
     def residual(triple, _):
         x, y, z = triple
-        ex, ey, ez = (Element.basis(k) for k in triple)
-        return (
-            mul(mul_keys(x, y), ez)
-            - mul(ex, mul_keys(y, z))
-            - mul(mul_keys(y, x), ez)
-            + mul(ey, mul_keys(x, z))
+        return gaussian_sum(
+            (
+                (1, mul(x, y), lambda u: mul(u, z)),
+                (-1, mul(y, z), lambda u: mul(x, u)),
+                (-1, mul(y, x), lambda u: mul(u, z)),
+                (1, mul(x, z), lambda u: mul(y, u)),
+            )
         )
 
     return collect_report(residual, triples)

@@ -10,18 +10,18 @@ representations and every report built on top is byte-stable.  Rows stay
 in reduced canonical form after every stage, with exact entries.
 
 Constraint rows are deduplicated on ``row_key``, which is equal for two
-rows exactly when one is a nonzero Q(i)-multiple of the other.  A row
-that is a multiple of an integer row keys on that row's primitive integer
-vector, so the usual all-integer row is keyed and hashed on ints alone.
+rows exactly when one is a nonzero Q(i)-multiple of the other.  A key is
+made of ints alone: the primitive integer vector of a row with a real
+multiple, else the primitive Gaussian-integer vector of its ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import Scalar, accumulate, plain, reciprocal
+from .scalars import Scalar, accumulate, gaussian_integers, reciprocal
 
 
 class VarRegistry:
@@ -151,25 +151,27 @@ def solve_affine(rows, nvars: int):
 
 
 def row_key(row: dict) -> tuple:
-    """Canonical key of a nonzero row up to nonzero Q(i)-multiples.
+    """Canonical key of a nonzero row up to nonzero Q(i)-multiples, in ints.
 
-    A multiple of an integer row keys on the primitive integer vector: the
-    gcd divided out and the leading (minimum-column) entry positive.  A row
-    of ints gets it straight from its entries; any other row is first
-    divided by its leading entry, and if that leaves it real its
-    denominators are cleared.  A row with no real multiple keys on its
-    lead-normalised Scalars, one of which is not real, so it never equals
-    an integer key.  Entry types (int, Fraction, Scalar) do not matter.
+    A multiple of an integer row keys on ``(col, n)`` pairs of the
+    primitive integer vector: the gcd divided out and the leading
+    (minimum-column) entry positive.  A row of ints gets it straight from
+    its entries; any other row is scaled to Gaussian integers and times
+    the conjugate of its lead a+bi, which makes the lead a*a + b*b > 0 and
+    leaves the row real exactly when it has a real multiple.  A row with
+    no real multiple keys on ``(col, re, im)`` triples, the gcd of all
+    parts divided out.  Entry types (int, Fraction, Scalar) do not matter.
     """
     cols = sorted(row)
     ints = [row[c] for c in cols]
     if any(type(v) is not int for v in ints):
-        lead = reciprocal(ints[0])
-        values = [plain(v * lead) for v in ints]
-        if any(type(v) is Scalar for v in values):
-            return tuple((c, Scalar.coerce(v)) for c, v in zip(cols, values))
-        scale = lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (scale // v.denominator) for v in values]
+        _, parts = gaussian_integers(zip(cols, ints))
+        _, a, b = parts[0]
+        parts = [(re * a + im * b, im * a - re * b) for _, re, im in parts]
+        if any(im for _, im in parts):
+            g = gcd(*(n for part in parts for n in part))
+            return tuple((c, re // g, im // g) for c, (re, im) in zip(cols, parts))
+        ints = [re for re, _ in parts]
     g = gcd(*ints)
     if ints[0] < 0:
         g = -g

@@ -161,6 +161,15 @@ GOLDEN = [
         "5c33f1dd07e15134224a7b66273708d2f02a574b89504a1d91df4aeedcb7e69d",
         1,
     ),
+    (
+        # dimension 20, 14 lines with non-real coefficients: rows with no
+        # real multiple go through row_key's Gaussian branch
+        ("solve", "biderivations", "--algebra", "leftsym", "--window", "2",
+         "--outbound", "4", "--epsilon", "(1/2-i)", "--alpha", "(-1/3+1/2i)",
+         "--beta", "(1/5+2/3i)"),
+        "edee33cdec34c15ef899c3e8a44e80fea1df89d9d5c1fb57356272010fe9a3a8",
+        0,
+    ),
 ]
 
 
@@ -171,7 +180,8 @@ GOLDEN = [
          "check-biderivation", "check-postlie", "check-derivation",
          "check-commuting", "report-leftsym", "report-leftsym-machine",
          "skip-biderivation", "skip-derivation", "skip-commuting", "skip-postlie",
-         "gauss-biderivation", "gauss-derivation", "gauss-postlie"],
+         "gauss-biderivation", "gauss-derivation", "gauss-postlie",
+         "gauss-leftsym-solve"],
 )
 def test_report_digest(argv, digest, code, tmp_path, capsys):
     paths = {}

@@ -17,7 +17,7 @@ from hvalgebra.leftsym import (
     params_valid,
     subadjacent_residual,
 )
-from hvalgebra.linmaps import TabularMap, Window, is_derivation
+from hvalgebra.linmaps import Counterexample, TabularMap, Window, is_derivation
 from hvalgebra.scalars import Scalar
 
 EPS = Scalar(1, 1)
@@ -93,6 +93,41 @@ def test_associator_symmetry(params):
     # the identity in fact holds with the central strata included
     report = is_left_symmetric(product, Window(2))
     assert report.passed
+
+
+class _Perturbed(LeftSymProduct):
+    """The product with one L*L constant scaled by (1+i)/2, so that the
+    left-symmetric identity fails with non-real residuals."""
+
+    def _mul_keys(self, a, b):
+        value = super()._mul_keys(a, b)
+        if (a, b) == (L(1), L(-2)):
+            value = value.scaled(Scalar(Fraction(1, 2), Fraction(1, 2)))
+        return value
+
+
+def test_associator_residuals_match_the_element_oracle():
+    product = _Perturbed(LeftSymParams(Fraction(1, 2), Scalar(0, 1), Scalar(Fraction(1, 2), 1)))
+    keys = product.window_keys(2)
+    report = is_left_symmetric(product, Window(2))
+    assert report.checked == len(keys) ** 3 and report.skipped == 0
+    # the residual written out in Element arithmetic, triple by triple
+    mul, basis = product.mul, Element.basis
+    expected = []
+    for x in keys:
+        for y in keys:
+            for z in keys:
+                residual = (
+                    mul(mul(basis(x), basis(y)), basis(z))
+                    - mul(basis(x), mul(basis(y), basis(z)))
+                    - mul(mul(basis(y), basis(x)), basis(z))
+                    + mul(basis(y), mul(basis(x), basis(z)))
+                )
+                if residual:
+                    expected.append(Counterexample((x, y, z), "left-symmetric", residual))
+    assert list(report.counterexamples) == expected
+    coeffs = [v for c in expected for _, v in c.residual.noncentral().items()]
+    assert any(not v.is_real() for v in coeffs)
 
 
 def test_commutator_matches_bracket_outside_two_central_strata():

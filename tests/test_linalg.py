@@ -26,7 +26,7 @@ from hvalgebra.linalg import (
     span_equal,
 )
 from hvalgebra.linmaps import Window
-from hvalgebra.scalars import Scalar
+from hvalgebra.scalars import Scalar, plain
 
 
 def S(rows):
@@ -241,10 +241,27 @@ def test_row_key_is_shared_by_every_scalar_multiple():
     keys = {row_key(_scaled(row, factor)) for factor in _MULTIPLIERS}
     assert keys == {((0, 1), (3, -2), (5, -3))}
     assert row_key(S([{0: -2, 3: 4, 5: 7}])[0]) not in keys
-    # a row with no real multiple keys on its lead-normalised entries
+    # a row with no real multiple keys on (col, re, im) of its primitive
+    # Gaussian-integer vector with a positive lead
     row = {1: Scalar(2), 2: Scalar(0, 2)}
     keys = {row_key(_scaled(row, factor)) for factor in _MULTIPLIERS}
-    assert keys == {((1, Scalar(1)), (2, Scalar(0, 1)))}
+    assert keys == {((1, 1, 0), (2, 0, 1))}
+    assert row_key({1: Scalar(2), 2: Scalar(0, -2)}) not in keys
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{0: -2, 3: 4, 5: 6}, {0: Fraction(1, 2), 2: 3, 4: Fraction(-5, 3)},
+     {1: Scalar(Fraction(2, 3), -1), 2: Scalar(0, Fraction(1, 4)), 3: 5}],
+    ids=["integer", "rational", "gaussian"],
+)
+def test_row_key_is_made_of_ints(row):
+    # every multiple, with its entries as Scalars and as plain numbers
+    for factor in _MULTIPLIERS:
+        scaled = _scaled(S([row])[0], factor)
+        for entries in (scaled, {c: plain(v) for c, v in scaled.items()}):
+            key = row_key(entries)
+            assert all(type(part) is int for entry in key for part in entry)
 
 
 @pytest.mark.parametrize(
