@@ -342,12 +342,16 @@ def solve_biderivations(
         return var_of(("f", q, p, u))
 
     # The second-slot identity of f at (x, y, z) is the first-slot
-    # identity of its transpose at (y, z, x).
+    # identity of its transpose at (y, z, x).  On an antisymmetric product
+    # the later twin, (y, x, z) or (x, z, y), only negates these rows.
+    twins = product.antisymmetric
     for x in domain:
         for y in domain:
             for z in domain:
-                leibniz(x, y, z, f)
-                leibniz(y, z, x, f_transposed)
+                if not (twins and y <= x):
+                    leibniz(x, y, z, f)
+                if not (twins and z <= y):
+                    leibniz(y, z, x, f_transposed)
 
     basis = system.nullspace()
     meta = {

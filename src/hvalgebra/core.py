@@ -275,11 +275,14 @@ class Product:
 
     Concrete products implement ``mul_keys``; ``mul`` is its bilinear
     extension and ``commutator_keys`` the induced skew product a*b - b*a
-    (equal to ``mul_keys`` itself for Lie products).
+    (equal to ``mul_keys`` itself for Lie products).  ``antisymmetric``
+    states that a*b = -(b*a) on every key pair, so a solver may skip the
+    identity instances that only negate another.
     """
 
     name = "?"
     has_central = True
+    antisymmetric = False
 
     def mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
         raise NotImplementedError
@@ -317,6 +320,8 @@ def plain_constants(product: Product):
 class LieProduct(Product):
     """The bracket of the full algebra (``has_central``) or of its
     centerless quotient, whose elements must not touch C1, C2, C3."""
+
+    antisymmetric = True
 
     def __init__(self, has_central: bool):
         self.has_central = has_central

@@ -7,7 +7,9 @@ protocol, ``rref`` keeps Scalar rows Scalar, and ``nullspace`` and
 canonical form (RREF with leading ones and pivots in increasing variable
 order), so two computations of the same span produce identical
 representations and every report built on top is byte-stable.  Rows stay
-in reduced canonical form after every stage, with exact entries.
+in reduced canonical form after every stage, with exact entries.  As
+that form is unique, ``rref`` picks its order of work: rows by decreasing
+lead column, with an index of the pivot rows holding each column.
 
 Constraint rows are deduplicated on ``row_key``, which is equal for two
 rows exactly when one is a nonzero Q(i)-multiple of the other.  A key is
@@ -88,20 +90,28 @@ def _reduce(row: dict, pivots: dict) -> dict:
 def rref(rows) -> list:
     """Reduced row echelon form of an iterable of sparse rows.
 
-    Deterministic and canonical: the result depends only on the row span.
-    Pivot selection always takes the smallest variable id.
+    Deterministic and canonical: the result depends only on the row span,
+    so rows go in decreasing order of lead (minimum) column, and most new
+    pivots lead left of every pivot row, which then cannot hold their
+    column.  ``holders`` maps a column to the pivots whose rows held it;
+    an entry goes stale when the column cancels, so it is checked.  Pivot
+    selection always takes the smallest variable id.
     """
     pivots = {}
-    for row in rows:
+    holders = {}
+    for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
         row = _reduce(row, pivots)
         if not row:
             continue
         col = min(row)
         inv = reciprocal(row[col])
         row = {c: v * inv for c, v in row.items()}
-        for prow in pivots.values():
-            if col in prow:
-                _eliminate(prow, col, row)
+        touched = [p for p in holders.pop(col, ()) if col in pivots[p]]
+        for p in touched:
+            _eliminate(pivots[p], col, row)
+        touched.append(col)
+        for c in row.keys() - {col}:
+            holders.setdefault(c, set()).update(touched)
         pivots[col] = row
     return [pivots[c] for c in sorted(pivots)]
 
@@ -117,18 +127,14 @@ def nullspace(rows, ncols: int) -> list:
     returned Scalar vectors have leading ones at increasing variable ids.
     """
     reduced = rref(rows)
-    pivot_cols = {min(r): r for r in reduced}
-    vectors = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = {free: 1}
-        for pcol, prow in pivot_cols.items():
-            coeff = prow.get(free)
-            if coeff is not None:
-                vec[pcol] = -coeff
-        vectors.append(vec)
-    return [{c: Scalar.coerce(v) for c, v in vec.items()} for vec in rref(vectors)]
+    vectors = {free: {free: 1} for free in range(ncols)}
+    for prow in reduced:
+        pcol = min(prow)
+        del vectors[pcol]
+        for free, coeff in prow.items():
+            if free != pcol:
+                vectors[free][pcol] = -coeff
+    return [{c: Scalar.coerce(v) for c, v in vec.items()} for vec in rref(vectors.values())]
 
 
 def solve_affine(rows, nvars: int):

@@ -28,9 +28,11 @@ from hvalgebra.core import (
     Element,
     I,
     L,
+    LieProduct,
 )
 from hvalgebra.errors import DomainNotCovered, InfeasibleWindow
-from hvalgebra.linalg import SolutionSpace, span_equal
+from hvalgebra.leftsym import LeftSymProduct
+from hvalgebra.linalg import LinearSystem, SolutionSpace, span_equal
 from hvalgebra.linmaps import Window
 from hvalgebra.scalars import Scalar
 
@@ -367,3 +369,51 @@ def test_solver_is_deterministic():
     two = solve_biderivations(LIE_W00, Window(3), 8, degree=0)
     assert one.basis == two.basis
     assert one.registry.labels() == two.registry.labels()
+
+
+@pytest.mark.parametrize("product", [LIE_W00, LIE_HV], ids=lambda p: p.name)
+def test_lie_products_are_antisymmetric_on_the_window(product):
+    # the premise of the solver's twin skip
+    assert product.antisymmetric
+    keys = product.window_keys(3)
+    for a in keys:
+        for b in keys:
+            assert product.mul_keys(a, b) == -product.mul_keys(b, a), (a, b)
+
+
+def test_left_symmetric_products_are_not_antisymmetric():
+    assert not LeftSymProduct.antisymmetric
+
+
+def test_twin_skip_halves_the_instances_and_keeps_every_row(monkeypatch):
+    """The instances a Lie solve skips would only have added duplicates:
+    the rows handed to elimination, their order and the basis are those
+    of the solve that runs every instance."""
+    flushes = []
+    systems = []
+    flush, nullspace = LinearSystem.flush, LinearSystem.nullspace
+
+    def counted_flush(self, admit=None):
+        flushes.append(admit)
+        flush(self, admit)
+
+    def captured_nullspace(self):
+        systems.append(self)
+        return nullspace(self)
+
+    monkeypatch.setattr(LinearSystem, "flush", counted_flush)
+    monkeypatch.setattr(LinearSystem, "nullspace", captured_nullspace)
+    runs = []
+    for antisymmetric in (True, False):
+        product = LieProduct(False)
+        product.antisymmetric = antisymmetric
+        flushes.clear()
+        space = solve_biderivations(product, Window(2), 4, degree=0)
+        runs.append((len(flushes), systems.pop().rows, space.basis))
+    (skipping, rows, basis), (every, all_rows, all_basis) = runs
+    # each instance that passes the window test flushes once; x = y and
+    # y = z give no rows, and every other instance has one twin
+    assert (skipping, every) == (740, 1680)
+    assert len(rows) == 892
+    assert rows == all_rows
+    assert basis == all_basis

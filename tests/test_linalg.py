@@ -228,6 +228,29 @@ def test_rank_rref_and_nullspace_take_mixed_entry_types(system):
     _check_against_the_dense_oracle(*system)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_does_not_depend_on_the_row_order(data):
+    # rref sorts its rows by lead column; any order of the same rows,
+    # empty ones included, must reduce to the same rows
+    rows, ncols = data.draw(_mixed_systems())
+    rows.append({})
+    expected = _check_against_the_dense_oracle(rows, ncols)
+    shuffled = data.draw(st.permutations(rows))
+    assert rref(shuffled) == expected
+    assert rref(row for row in shuffled) == expected
+
+
+def test_rref_skips_a_column_that_cancelled_out_of_an_indexed_pivot_row():
+    # All three rows lead at column 0.  The second reduces to a pivot at
+    # column 2 whose elimination cancels column 3 out of the first pivot
+    # row, which stays indexed under column 3; the third then reduces to
+    # a pivot at column 3 and must pass that row by.
+    rows = [{0: 1, 2: 1, 3: 1}, {0: 1, 2: 2, 3: 2}, {0: 1, 3: 1}]
+    assert rref(rows) == [{0: 1}, {2: 1}, {3: 1}]
+    assert nullspace(rows, 4) == [{1: 1}]
+
+
 def _scaled(row, factor):
     return {c: factor * v for c, v in row.items()}
 
