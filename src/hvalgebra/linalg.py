@@ -14,7 +14,9 @@ lead column, with an index of the pivot rows holding each column.
 Constraint rows are deduplicated on ``row_key``, which is equal for two
 rows exactly when one is a nonzero Q(i)-multiple of the other.  A key is
 made of ints alone: the primitive integer vector of a row with a real
-multiple, else the primitive Gaussian-integer vector of its ray.
+multiple, else the primitive Gaussian-integer vector of its ray.  A kept
+single-entry row pins its column to zero and needs no key; later rows
+are built without the pinned columns, which leaves the row span as is.
 """
 
 from __future__ import annotations
@@ -193,17 +195,24 @@ class LinearSystem:
     in int and Fraction arithmetic; the solutions come back as Scalars.
     A row is kept when it is nonzero, when the solver's ``admit(coord)``
     holds (no predicate admits all), and when no row with the same
-    ``row_key`` (a nonzero scalar multiple) was kept before; the first
-    occurrence stays, unnormalised.
+    ``row_key`` (a nonzero scalar multiple) was kept before.  A kept row
+    with one entry pins its column to zero: ``add`` drops every later term
+    in a pinned column, so a later row may shrink to one entry and pin its
+    own column, or to nothing and not be kept.  Each kept row differs from
+    the one the solver built by multiples of rows kept before, so the row
+    span, and with it every canonical answer, is that of the built rows.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows = []
         self._seen = set()
+        self._pinned = set()
         self._coords = {}
 
     def add(self, coord, col: int, value) -> None:
+        if col in self._pinned:
+            return
         row = self._coords.setdefault(coord, {})
         value = row[col] + value if col in row else value
         if value:
@@ -215,9 +224,13 @@ class LinearSystem:
         for coord, row in self._coords.items():
             if not row or (admit is not None and not admit(coord)):
                 continue
-            key = row_key(row)
-            if key not in self._seen:
-                self._seen.add(key)
+            if len(row) == 1:
+                (key,) = row
+                seen = self._pinned
+            else:
+                key, seen = row_key(row), self._seen
+            if key not in seen:
+                seen.add(key)
                 self.rows.append(row)
         self._coords = {}
 

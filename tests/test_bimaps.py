@@ -32,7 +32,7 @@ from hvalgebra.core import (
 )
 from hvalgebra.errors import DomainNotCovered, InfeasibleWindow
 from hvalgebra.leftsym import LeftSymProduct
-from hvalgebra.linalg import LinearSystem, SolutionSpace, span_equal
+from hvalgebra.linalg import LinearSystem, SolutionSpace, rank, span_equal
 from hvalgebra.linmaps import Window
 from hvalgebra.scalars import Scalar
 
@@ -385,10 +385,12 @@ def test_left_symmetric_products_are_not_antisymmetric():
     assert not LeftSymProduct.antisymmetric
 
 
-def test_twin_skip_halves_the_instances_and_keeps_every_row(monkeypatch):
+def test_twin_skip_halves_the_instances_and_keeps_the_row_span(monkeypatch):
     """The instances a Lie solve skips would only have added duplicates:
-    the rows handed to elimination, their order and the basis are those
-    of the solve that runs every instance."""
+    the rows handed to elimination span what the rows of the solve that
+    runs every instance span, and the basis is the same.  The rows
+    themselves differ, as the columns ``LinearSystem`` pins to zero
+    depend on the instances flushed before."""
     flushes = []
     systems = []
     flush, nullspace = LinearSystem.flush, LinearSystem.nullspace
@@ -414,6 +416,6 @@ def test_twin_skip_halves_the_instances_and_keeps_every_row(monkeypatch):
     # each instance that passes the window test flushes once; x = y and
     # y = z give no rows, and every other instance has one twin
     assert (skipping, every) == (740, 1680)
-    assert len(rows) == 892
-    assert rows == all_rows
+    assert (len(rows), len(all_rows)) == (468, 476)
+    assert rank(rows) == rank(all_rows) == rank(rows + all_rows) == 198
     assert basis == all_basis

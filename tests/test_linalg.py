@@ -444,9 +444,87 @@ def test_linear_system_affine_solve():
     assert system.solve_affine() is None
 
 
+def test_linear_system_drops_later_terms_in_a_pinned_column():
+    system = LinearSystem(3)
+    _flush(system, {"a": {0: 2}})
+    _flush(system, {"b": {0: 1, 1: 3, 2: 1}})
+    assert system.rows == S([{0: 2}, {1: 3, 2: 1}])
+
+
+def test_linear_system_does_not_keep_a_row_that_empties():
+    system = LinearSystem(2)
+    # a repeated single entry in the same flush is a multiple of the first
+    _flush(system, {"a": {0: 1}, "b": {0: 3}})
+    _flush(system, {"c": {0: 5}, "d": {}})
+    assert system.rows == S([{0: 1}])
+    assert system.nullspace() == S([{1: 1}])
+
+
+def test_linear_system_pins_cascade_through_rows_stripped_to_one_entry():
+    system = LinearSystem(5)
+    _flush(system, {"a": {0: 1}})
+    _flush(system, {"b": {0: 1, 1: 2}})
+    _flush(system, {"c": {1: 1, 2: -1}})
+    # pins take effect at the next add, so "e" keeps column 3 here
+    _flush(system, {"d": {0: 1, 1: 1, 2: 1, 3: 1}, "e": {2: 1, 3: 1, 4: 1}})
+    _flush(system, {"f": {3: 1, 4: 2}})
+    assert system.rows == S([{0: 1}, {1: 2}, {2: -1}, {3: 1}, {3: 1, 4: 1}, {4: 2}])
+    assert system.nullspace() == []
+
+
+def test_linear_system_rejected_single_entry_row_pins_nothing():
+    system = LinearSystem(2)
+    _flush(system, {1: {0: 1}}, admit=lambda coord: False)
+    _flush(system, {2: {0: 1, 1: 1}})
+    assert system.rows == S([{0: 1, 1: 1}])
+
+
+def test_linear_system_pinned_constant_column_is_still_inconsistent():
+    # 0 = 1 pins the constant column; x = 2 then loses its constant term
+    system = LinearSystem(1)
+    _flush(system, {"a": {1: 1}})
+    _flush(system, {"b": {0: 1, 1: -2}})
+    assert system.rows == S([{1: 1}, {0: 1}])
+    assert system.solve_affine() is None
+
+
+@st.composite
+def _flush_batches(draw):
+    """Batches of coordinate rows, each with the coordinates it admits;
+    few columns and short rows, so that pins and cascades are common."""
+    ncols = draw(st.integers(1, 5))
+    rows = st.dictionaries(st.integers(0, ncols - 1), _entries, max_size=3)
+    batches = draw(st.lists(
+        st.tuples(st.dictionaries(st.integers(0, 3), rows, max_size=4),
+                  st.frozensets(st.integers(0, 3))),
+        max_size=6,
+    ))
+    return batches, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flush_batches())
+def test_linear_system_nullspace_is_that_of_every_admitted_row(system_batches):
+    batches, ncols = system_batches
+    system = LinearSystem(ncols)
+    admitted = []
+    for batch, admits in batches:
+        _flush(system, batch, admit=admits.__contains__)
+        for coord, row in batch.items():
+            row = {c: v for c, v in row.items() if v}
+            if row and coord in admits:
+                admitted.append(row)
+    if not admitted:
+        assert system.rows == []
+        return
+    _check_against_the_dense_oracle(admitted, ncols)
+    assert len(system.rows) <= len(admitted)
+    assert system.nullspace() == nullspace(admitted, ncols)
+
+
 @pytest.mark.parametrize(
     "product, degree, shape",
-    [(LIE_W00, 0, (892, 200)), (LIE_HV, None, (7521, 2100))],
+    [(LIE_W00, 0, (468, 200)), (LIE_HV, None, (3649, 2100))],
     ids=["graded-lie-w00", "ungraded-lie-hv"],
 )
 def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, monkeypatch):
