@@ -11,21 +11,17 @@ in reduced canonical form after every stage, with exact entries.  As
 that form is unique, ``rref`` picks its order of work: rows by decreasing
 lead column, with an index of the pivot rows holding each column.
 
-Constraint rows are deduplicated on ``row_key``, which is equal for two
-rows exactly when one is a nonzero Q(i)-multiple of the other.  A key is
-made of ints alone: the primitive integer vector of a row with a real
-multiple, else the primitive Gaussian-integer vector of its ray.  A kept
-single-entry row pins its column to zero and needs no key; later rows
+A kept single-entry constraint row pins its column to zero; later rows
 are built without the pinned columns, which leaves the row span as is.
+Every other admitted row is kept, and ``rref`` absorbs the repeats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import Scalar, accumulate, gaussian_integers, reciprocal
+from .scalars import Scalar, accumulate, reciprocal
 
 
 class VarRegistry:
@@ -158,34 +154,6 @@ def solve_affine(rows, nvars: int):
     return {c: Scalar.coerce(v) for c, v in solution.items()}
 
 
-def row_key(row: dict) -> tuple:
-    """Canonical key of a nonzero row up to nonzero Q(i)-multiples, in ints.
-
-    A multiple of an integer row keys on ``(col, n)`` pairs of the
-    primitive integer vector: the gcd divided out and the leading
-    (minimum-column) entry positive.  A row of ints gets it straight from
-    its entries; any other row is scaled to Gaussian integers and times
-    the conjugate of its lead a+bi, which makes the lead a*a + b*b > 0 and
-    leaves the row real exactly when it has a real multiple.  A row with
-    no real multiple keys on ``(col, re, im)`` triples, the gcd of all
-    parts divided out.  Entry types (int, Fraction, Scalar) do not matter.
-    """
-    cols = sorted(row)
-    ints = [row[c] for c in cols]
-    if any(type(v) is not int for v in ints):
-        _, parts = gaussian_integers(zip(cols, ints))
-        _, a, b = parts[0]
-        parts = [(re * a + im * b, im * a - re * b) for _, re, im in parts]
-        if any(im for _, im in parts):
-            g = gcd(*(n for part in parts for n in part))
-            return tuple((c, re // g, im // g) for c, (re, im) in zip(cols, parts))
-        ints = [re for re, _ in parts]
-    g = gcd(*ints)
-    if ints[0] < 0:
-        g = -g
-    return tuple(zip(cols, [n // g for n in ints]))
-
-
 class LinearSystem:
     """The constraint rows of one windowed solve over ``ncols`` unknowns.
 
@@ -193,20 +161,19 @@ class LinearSystem:
     output coordinate), then ``flush`` turns those coordinates into rows.
     Terms are ``scalars.plain`` numbers, so real rows are built and reduced
     in int and Fraction arithmetic; the solutions come back as Scalars.
-    A row is kept when it is nonzero, when the solver's ``admit(coord)``
-    holds (no predicate admits all), and when no row with the same
-    ``row_key`` (a nonzero scalar multiple) was kept before.  A kept row
-    with one entry pins its column to zero: ``add`` drops every later term
-    in a pinned column, so a later row may shrink to one entry and pin its
-    own column, or to nothing and not be kept.  Each kept row differs from
-    the one the solver built by multiples of rows kept before, so the row
-    span, and with it every canonical answer, is that of the built rows.
+    A row is kept when it is nonzero and the solver's ``admit(coord)``
+    holds (no predicate admits all), except a single-entry row whose
+    column is already pinned.  A kept row with one entry pins its column
+    to zero: ``add`` drops every later term in a pinned column, so a later
+    row may shrink to one entry and pin its own column, or to nothing and
+    not be kept.  Each kept row differs from the one the solver built by
+    multiples of rows kept before, so the row span, and with it every
+    canonical answer, is that of the built rows.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows = []
-        self._seen = set()
         self._pinned = set()
         self._coords = {}
 
@@ -225,13 +192,11 @@ class LinearSystem:
             if not row or (admit is not None and not admit(coord)):
                 continue
             if len(row) == 1:
-                (key,) = row
-                seen = self._pinned
-            else:
-                key, seen = row_key(row), self._seen
-            if key not in seen:
-                seen.add(key)
-                self.rows.append(row)
+                (col,) = row
+                if col in self._pinned:
+                    continue
+                self._pinned.add(col)
+            self.rows.append(row)
         self._coords = {}
 
     def nullspace(self) -> list:

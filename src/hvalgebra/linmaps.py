@@ -408,10 +408,11 @@ def decompose_derivation(d: LinearMap, window: Window):
     interior = product.window_keys(n_max - 1)
     const = len(labels)
     system = LinearSystem(const)
+    mul = plain_constants(product)
     for b0 in interior:
         for xk in x_keys:
-            for w, value in product.mul_keys(xk, b0).items():
-                system.add(w, ids[("x", xk)], plain(value))
+            for w, value in mul(xk, b0):
+                system.add(w, ids[("x", xk)], value)
         for tag, mp in outer.items():
             for w, value in mp.apply_key(b0).items():
                 system.add(w, ids[("coef", tag)], plain(value))

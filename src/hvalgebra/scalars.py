@@ -3,10 +3,9 @@
 Scalar is the coefficient type of elements, maps and solved bases: a
 complex number whose real and imaginary parts are arbitrary-precision
 Fractions.  A windowed solve's rows hold ``plain`` numbers (int, Fraction,
-or Scalar only when not real), deduplicated on keys made of ints, and
-only its basis is made of Scalars.  A checker's residuals (the
-left-symmetric associator included) are sums of ``gaussian_integers``
-values, and only a nonzero residual coordinate is made a Scalar.
+or Scalar only when not real), and only its basis is made of Scalars.
+A checker's residuals (the left-symmetric associator included) sum
+``gaussian_integers`` values; only a nonzero coordinate becomes a Scalar.
 Every operation is exact, so downstream zero tests are decisive; no
 module in this package owns a tolerance.
 

@@ -416,6 +416,6 @@ def test_twin_skip_halves_the_instances_and_keeps_the_row_span(monkeypatch):
     # each instance that passes the window test flushes once; x = y and
     # y = z give no rows, and every other instance has one twin
     assert (skipping, every) == (740, 1680)
-    assert (len(rows), len(all_rows)) == (468, 476)
+    assert (len(rows), len(all_rows)) == (501, 826)
     assert rank(rows) == rank(all_rows) == rank(rows + all_rows) == 198
     assert basis == all_basis

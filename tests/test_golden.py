@@ -163,7 +163,7 @@ GOLDEN = [
     ),
     (
         # dimension 20, 14 lines with non-real coefficients: rows with no
-        # real multiple go through row_key's Gaussian branch
+        # real multiple hold Scalar entries through elimination
         ("solve", "biderivations", "--algebra", "leftsym", "--window", "2",
          "--outbound", "4", "--epsilon", "(1/2-i)", "--alpha", "(-1/3+1/2i)",
          "--beta", "(1/5+2/3i)"),
