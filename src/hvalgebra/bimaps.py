@@ -307,6 +307,7 @@ def solve_biderivations(
     var_of = registry.id_of
     system = LinearSystem(len(registry))
     add = system.add
+    pinned = system.pinned
     mul = plain_constants(product)
     in_window = set(domain)
 
@@ -315,7 +316,8 @@ def solve_biderivations(
         is the unknown of g(p, q) at output u.  The instance is dropped
         when a*b leaves the window.  A row at w is fed by g(b, c) at
         w - index(a), by g(a, c) at w - index(b) and, when a*b has a
-        noncentral term, by g(a*b, c) at w itself.
+        noncentral term, by g(a*b, c) at w itself.  An unknown already
+        pinned to zero is skipped before its terms are built.
         """
         prod = mul(a, b)
         if not all(k.is_central or k in in_window for k, _ in prod):
@@ -324,13 +326,19 @@ def solve_biderivations(
         nc = [kv for kv in prod if not kv[0].is_central]
         for bt, coeff in nc:
             for u in out_keys(bt.index + ic):
-                add(u, var(bt, c, u), -coeff)
+                vid = var(bt, c, u)
+                if vid not in pinned:
+                    add(u, vid, -coeff)
         for u in out_keys(ib + ic):
             vid = var(b, c, u)
+            if vid in pinned:
+                continue
             for w, coeff in mul(a, u):
                 add(w, vid, coeff)
         for u in out_keys(ia + ic):
             vid = var(a, c, u)
+            if vid in pinned:
+                continue
             for w, coeff in mul(u, b):
                 add(w, vid, coeff)
         system.flush(admission((ia, ib, 0) if nc else (ia, ib), out_bound))

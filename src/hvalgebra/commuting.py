@@ -68,6 +68,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
     var_of = registry.id_of
     mul_keys = plain_constants(LIE_HV)
     system = LinearSystem(len(registry))
+    pinned = system.pinned
 
     for i, bi in enumerate(domain):
         for bj in domain[i:]:
@@ -76,11 +77,10 @@ def solve_commuting(window: Window) -> SolutionSpace:
                 continue  # both arguments central: no bracket term survives
             for b_arg, b_other in ((bi, bj), (bj, bi)):
                 for u in out_keys:
-                    base = mul_keys(u, b_other)
-                    if not base:
-                        continue
                     vid = var_of(("phi", b_arg, u))
-                    for w, c in base:
+                    if vid in pinned:
+                        continue
+                    for w, c in mul_keys(u, b_other):
                         system.add(w, vid, c)
             system.flush(admission(near, out_bound))
 

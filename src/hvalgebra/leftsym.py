@@ -20,7 +20,7 @@ bracket and are therefore reported, never asserted (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -42,16 +42,12 @@ from .linmaps import gaussian_sum, scaled_values
 from .scalars import ONE, Scalar
 
 
-@dataclass(frozen=True)
-class LeftSymParams:
-    alpha: Scalar
-    beta: Scalar
-    epsilon: Scalar
+class LeftSymParams(namedtuple("LeftSymParams", "alpha beta epsilon")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Scalar.coerce(self.alpha))
-        object.__setattr__(self, "beta", Scalar.coerce(self.beta))
-        object.__setattr__(self, "epsilon", Scalar.coerce(self.epsilon))
+    def __new__(cls, alpha, beta, epsilon):
+        coerce = Scalar.coerce
+        return super().__new__(cls, coerce(alpha), coerce(beta), coerce(epsilon))
 
     def __str__(self):
         return f"alpha={self.alpha}, beta={self.beta}, epsilon={self.epsilon}"

@@ -18,7 +18,7 @@ Every other admitted row is kept, and ``rref`` absorbs the repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
 from .scalars import Scalar, accumulate, reciprocal
@@ -177,6 +177,12 @@ class LinearSystem:
         self._pinned = set()
         self._coords = {}
 
+    @property
+    def pinned(self):
+        """The pinned columns, as the live set ``flush`` grows: a solver may
+        skip building terms in them, which ``add`` would drop.  Read only."""
+        return self._pinned
+
     def add(self, coord, col: int, value) -> None:
         if col in self._pinned:
             return
@@ -244,11 +250,10 @@ class SolutionSpace:
         return SolutionSpace(self.registry, vectors, meta=self.meta)
 
 
-@dataclass(frozen=True)
-class SpanComparison:
-    equal: bool
-    witness: dict | None = None
-    witness_side: str | None = None
+class SpanComparison(
+    namedtuple("SpanComparison", "equal witness witness_side", defaults=(None, None))
+):
+    __slots__ = ()
 
     def __bool__(self):
         return self.equal

@@ -14,7 +14,7 @@ and vanish on the central symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -36,33 +36,29 @@ from .parallel import run_ordered
 from .scalars import Scalar, gaussian_integers, plain
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "n_max")):
     """Symmetric index window: all L(n), I(n) with |n| <= n_max."""
 
-    n_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_max < 1:
+    def __new__(cls, n_max: int):
+        if n_max < 1:
             raise ValueError("window radius must be at least 1")
+        return super().__new__(cls, n_max)
 
     def interior(self) -> "Window":
         return Window(self.n_max - 1)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    inputs: tuple
-    equation: str
-    residual: Element
+class Counterexample(namedtuple("Counterexample", "inputs equation residual")):
+    __slots__ = ()
 
     def __str__(self):
         args = ", ".join(str(x) for x in self.inputs)
         return f"({args}) [{self.equation}] residual = {self.residual}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "checked skipped counterexamples")):
     """Outcome of an exhaustive identity check over a window.
 
     ``checked`` counts identity instances evaluated, ``skipped`` counts
@@ -70,9 +66,7 @@ class CheckReport:
     The check passed exactly when no counterexample was found.
     """
 
-    checked: int
-    skipped: int
-    counterexamples: tuple
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -356,15 +350,11 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
     return collect_report(lambda pair, _: leibniz_residual(mul, m_key, *pair), pairs)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "inner d1_coeff d2_coeff d3_coeff")):
     """d = ad(inner) + d1_coeff*d1 + d2_coeff*d2 + d3_coeff*d3 on the
     centerless quotient."""
 
-    inner: Element
-    d1_coeff: Scalar
-    d2_coeff: Scalar
-    d3_coeff: Scalar
+    __slots__ = ()
 
     def as_map(self) -> LinearMap:
         return SumMap(

@@ -1,7 +1,11 @@
 """Every package module except ``__init__`` uses each name it imports,
-and imports the package's own modules at module level only."""
+and imports the package's own modules at module level only; importing
+the command line adds no heavy standard-library module to start-up."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,27 @@ def test_the_check_finds_a_function_level_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_level_package_imports(path):
     assert function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def loaded_modules(statement: str) -> set:
+    """``sys.modules`` of a fresh interpreter after running ``statement``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_keeps_introspection_modules_off_start_up():
+    # Against a bare interpreter, since ``site`` may already load some of
+    # these (``typing``, through a ``.pth`` file) before any command runs.
+    added = loaded_modules("import hvalgebra.cli") - loaded_modules("pass")
+    assert "hvalgebra.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -1,6 +1,7 @@
 """Exact sparse row reduction, nullspaces, and span comparison."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -459,6 +460,54 @@ def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, m
     monkeypatch.setattr(LinearSystem, "nullspace", record)
     solve_biderivations(product, Window(2), 4, degree=degree)
     assert shapes == [shape]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_biderivations(
+            LeftSymProduct(
+                LeftSymParams(
+                    Scalar(Fraction(1, 2), Fraction(1, 3)),
+                    Scalar(Fraction(2, 3), -1),
+                    Scalar(1, 1),
+                ),
+                quotient=True,
+            ),
+            Window(2),
+            4,
+            degree=0,
+        ),
+        lambda: solve_commuting(Window(3)),
+    ],
+    ids=["leftsym-quotient", "commuting"],
+)
+def test_solvers_build_no_terms_in_pinned_columns(solve, monkeypatch):
+    solvers = ("hvalgebra.bimaps", "hvalgebra.commuting")
+    calls = []
+    original = LinearSystem.add
+
+    def spy(self, coord, col, value):
+        if sys._getframe(1).f_globals["__name__"] in solvers:
+            calls.append(col in self.pinned)
+        return original(self, coord, col, value)
+
+    monkeypatch.setattr(LinearSystem, "add", spy)
+    solve()
+    assert calls and not any(calls)
+
+
+def test_pinned_is_a_read_only_view_of_the_flushed_pins():
+    system = LinearSystem(3)
+    pinned = system.pinned
+    system.add("a", 1, 2)
+    system.add("b", 0, 1)
+    system.add("b", 2, 1)
+    assert not pinned
+    system.flush()
+    assert pinned == {1} and system.pinned is pinned
+    with pytest.raises(AttributeError):
+        system.pinned = set()
 
 
 _GAUSSIAN_QUOTIENT = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)), quotient=True)

@@ -14,11 +14,16 @@ from hvalgebra.core import (
     L,
 )
 from hvalgebra.errors import DomainNotCovered, NotCentral
+from hvalgebra.leftsym import LeftSymParams
+from hvalgebra.linalg import SpanComparison
 from hvalgebra.linmaps import (
     D1,
     D2,
     D3,
     CentralMap,
+    CheckReport,
+    Counterexample,
+    Decomposition,
     InnerAd,
     ScalarId,
     ScaledMap,
@@ -51,8 +56,38 @@ class CountingMap(SumMap):
 
 def test_window_validation():
     assert Window(3).interior() == Window(2)
+    assert repr(Window(3)) == "Window(n_max=3)"
     with pytest.raises(ValueError):
         Window(0)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Window(3), "n_max"),
+        (lambda: Counterexample((L(1), I(2)), "leibniz", E(I(3))), "residual"),
+        (lambda: CheckReport(4, 1, ()), "checked"),
+        (lambda: Decomposition(E(L(1)), Scalar(1), Scalar(0), Scalar(2)), "inner"),
+        (lambda: SpanComparison(False), "equal"),
+        (lambda: LeftSymParams(1, 0, 1), "alpha"),
+    ],
+    ids=["Window", "Counterexample", "CheckReport", "Decomposition",
+         "SpanComparison", "LeftSymParams"],
+)
+def test_records_are_immutable_and_hash_by_value(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    twin = make()
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+
+
+def test_record_field_rules():
+    assert isinstance(LeftSymParams(1, 0, 1).alpha, Scalar)
+    assert LeftSymParams(1, 0, 1) == LeftSymParams(Scalar(1), Scalar(0), Scalar(1))
+    comparison = SpanComparison(False)
+    assert not comparison and comparison.witness is None
+    assert comparison.witness_side is None and SpanComparison(True)
 
 
 def test_outer_derivation_values():
