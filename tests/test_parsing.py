@@ -246,3 +246,50 @@ def test_bilinear_map_file_errors():
         parse_bilinear_map_file("# nothing here\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_bilinear_map_file("L(1), L(2) -> I(3)")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_linear_map_file, "L(0) -> L(0)\nL(1)", "line 2: expected 'KEY -> ELEMENT'"),
+        (parse_linear_map_file, "@central L(0) C1", "line 1: expected 'KEY -> ELEMENT'"),
+        (parse_linear_map_file, "@spin 3", "line 1: unknown directive '@spin'"),
+        (parse_linear_map_file, "X -> L(0)",
+         "line 1: unknown basis symbol 'X' (at position 0)"),
+        (parse_linear_map_file, "L(0) -> 2*L(x)", "line 1: expected an index (at position 4)"),
+        (parse_linear_map_file, "@d1 x", "line 1: expected a number, found 'x' (at position 0)"),
+        (parse_linear_map_file, "L(1) -> I(1)\nL(1) -> I(2)\n",
+         "line 2: duplicate entry for L(1)"),
+        (parse_linear_map_file, "@central L(0) -> C1\n@central L(0) -> C2\n",
+         "line 2: duplicate entry for L(0)"),
+        (parse_bilinear_map_file, "(L(1), L(2)) -> I(3)\n(L(1), L(2))",
+         "line 2: expected '(KEY, KEY) -> ELEMENT'"),
+        (parse_bilinear_map_file, "@central L(0) -> C1",
+         "line 1: unknown directive '@central'"),
+        (parse_bilinear_map_file, "L(1), L(2) -> I(3)",
+         "line 1: expected '(', found 'L' (at position 0)"),
+        (parse_bilinear_map_file, "(L(1), X) -> I(3)",
+         "line 1: unknown basis symbol 'X' (at position 7)"),
+        (parse_bilinear_map_file, "(L(1), L(2)) -> I(3) +",
+         "line 1: expected a basis symbol, found 'end of input' (at position 6)"),
+        (parse_bilinear_map_file, "(L(1), L(2)) -> I(3)\n(L(1), L(2)) -> I(4)\n",
+         "line 2: duplicate entry for (L(1), L(2))"),
+        (parse_bilinear_map_file, "(L(1), L(2)) L(3) -> I(3)",
+         "line 1: unexpected trailing input (at position 13)"),
+        (parse_bilinear_map_file, "@romega { 1: 2, 1: 3 }",
+         "line 1: duplicate offset 1 (at position 8)"),
+        (parse_bilinear_map_file, "# nothing here\n", "empty bilinear map file"),
+    ],
+    ids=[
+        "linear-arrow", "central-arrow", "linear-directive", "linear-key",
+        "linear-value", "linear-directive-value", "linear-duplicate",
+        "central-duplicate", "bilinear-arrow", "bilinear-directive",
+        "bilinear-key", "bilinear-key-name", "bilinear-value",
+        "bilinear-duplicate", "bilinear-trailing", "bilinear-directive-value",
+        "bilinear-empty",
+    ],
+)
+def test_map_file_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
