@@ -9,9 +9,7 @@ span on a window.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .core import Element, LIE_HV, plain_constants
+from .core import LIE_HV, plain_constants
 from .linalg import LinearSystem, SolutionSpace, VarRegistry
 from .linmaps import (
     CentralMap,
@@ -22,6 +20,8 @@ from .linmaps import (
     Window,
     admission,
     collect_report,
+    gaussian_sum,
+    scaled_values,
 )
 from .scalars import Scalar
 
@@ -34,14 +34,16 @@ def make_commuting(coeff, table=None) -> LinearMap:
 def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     """Exhaustive polarized check over unordered window pairs.  Each key's
     value is read once per call, by a cache that dies with the call."""
-    phi_key = lru_cache(maxsize=None)(phi.apply_key)
+    phi_key = scaled_values(lambda k: phi.apply_key(k).items())
+    mul = scaled_values(plain_constants(LIE_HV))
     keys = LIE_HV.window_keys(window.n_max)
     pairs = (((a, b), "polarized") for i, a in enumerate(keys) for b in keys[i:])
 
     def residual(pair, _):
         a, b = pair
-        ea, eb = Element.basis(a), Element.basis(b)
-        return LIE_HV.mul(phi_key(a), eb) + LIE_HV.mul(phi_key(b), ea)
+        return gaussian_sum(
+            ((1, phi_key(a), lambda u: mul(u, b)), (1, phi_key(b), lambda u: mul(u, a)))
+        )
 
     return collect_report(residual, pairs)
 

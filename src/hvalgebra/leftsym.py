@@ -49,6 +49,10 @@ class LeftSymParams(namedtuple("LeftSymParams", "alpha beta epsilon")):
         coerce = Scalar.coerce
         return super().__new__(cls, coerce(alpha), coerce(beta), coerce(epsilon))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
+
     def __str__(self):
         return f"alpha={self.alpha}, beta={self.beta}, epsilon={self.epsilon}"
 

@@ -46,6 +46,10 @@ class Window(namedtuple("Window", "n_max")):
             raise ValueError("window radius must be at least 1")
         return super().__new__(cls, n_max)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
+
     def interior(self) -> "Window":
         return Window(self.n_max - 1)
 

@@ -10,11 +10,13 @@ Linear map files hold lines ``KEY -> ELEMENT`` plus directives
 ``@inner ELEMENT``, ``@d1/@d2/@d3 SCALAR``, ``@id SCALAR`` and
 ``@central KEY -> ELEMENT``; bilinear map files hold lines
 ``(KEY, KEY) -> ELEMENT`` plus ``@inner SCALAR`` and
-``@romega { k: SCALAR, ... }``.  ``#`` starts a comment.
+``@romega { k: SCALAR, ... }``.  ``#`` starts a comment.  One reader
+serves both kinds of map file.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .bimaps import BilinearMap, Inner, Omega, ROmega, SumBilinear, TabularBilinear
@@ -41,47 +43,29 @@ MAX_EXPRESSION_DEPTH = 200
 _TOO_DEEP = f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep"
 
 
+# One match per token, skipping whitespace; a '#' ends the input.
+_TOKEN = re.compile(
+    r"(?P<sym>->|[-+*/()[\]{},:])|(?P<int>\d+)|(?P<name>[^\W\d_][^\W_]*)"
+    r"|(?P<end>#)|(?P<bad>\S)"
+)
+
+
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "#":
+    for match in _TOKEN.finditer(text):
+        kind, token, at = match.lastgroup, match[0], match.start()
+        if kind == "end":
             break
-        if text.startswith("->", pos):
-            tokens.append(("sym", "->", pos))
-            pos += 2
-            continue
-        if ch in "+-*/()[]{},:":
-            tokens.append(("sym", ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            end = pos
-            while end < size and text[end].isdigit():
-                end += 1
-            tokens.append(("int", text[pos:end], pos))
-            pos = end
-            continue
-        if ch.isalpha():
-            end = pos
-            while end < size and text[end].isalnum():
-                end += 1
-            tokens.append(("name", text[pos:end], pos))
-            pos = end
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("eof", "", size))
+        # a name starts with a letter; \w also matches numerals such as '½'
+        if kind == "bad" or (kind == "name" and not token[0].isalpha()):
+            raise ParseError(f"unexpected character {token[0]!r}", at)
+        tokens.append((kind, token, at))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0  # tree levels of the open brackets
@@ -101,11 +85,22 @@ class _Parser:
         if text != value:
             raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", at)
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "eof"
-
     def fail(self, message: str):
         raise ParseError(message, self.peek()[2])
+
+    def sign(self):
+        """An optional '+' or '-': None if absent, else whether it was '-'."""
+        if self.peek()[1] in ("+", "-"):
+            return self.next()[1] == "-"
+        return None
+
+    def signed_int(self, what: str):
+        """[sign] INT, and where the INT is; else 'expected {what}'."""
+        negate = self.sign()
+        kind, text, at = self.next()
+        if kind != "int":
+            raise ParseError(f"expected {what}", at)
+        return (-int(text) if negate else int(text)), at
 
     # -- scalars ---------------------------------------------------------
 
@@ -127,43 +122,34 @@ class _Parser:
 
     def simple_scalar(self) -> Scalar:
         """INT [/ INT] [i]  |  i"""
-        kind, text, at = self.peek()
-        if kind == "name" and text == "i":
+        if self.peek()[1] == "i":  # only a name token reads 'i'
             self.next()
             return Scalar(0, 1)
         value = self.rational()
-        kind, text, _ = self.peek()
-        if kind == "name" and text == "i":
+        if self.peek()[1] == "i":
             self.next()
             return Scalar(0, value)
         return Scalar(value)
 
     def signed_simple(self) -> Scalar:
-        sign = 1
-        while self.peek()[1] in ("+", "-"):
-            if self.next()[1] == "-":
-                sign = -sign
+        negate = False
+        while (sign := self.sign()) is not None:
+            negate ^= sign
         value = self.simple_scalar()
-        return -value if sign < 0 else value
+        return -value if negate else value
 
     def scalar(self) -> Scalar:
         """A full scalar, possibly parenthesized with two parts."""
         if self.peek()[1] == "(":
             self.next()
             value = self.signed_simple()
-            if self.peek()[1] in ("+", "-"):
-                negate = self.next()[1] == "-"
+            negate = self.sign()
+            if negate is not None:
                 part = self.simple_scalar()
                 value = value - part if negate else value + part
             self.expect(")")
             return value
         return self.signed_simple()
-
-    def scalar_factor(self) -> Scalar:
-        """A scalar usable inside a term (no bare leading sign)."""
-        if self.peek()[1] == "(":
-            return self.scalar()
-        return self.simple_scalar()
 
     # -- basis keys & elements --------------------------------------------
 
@@ -175,43 +161,43 @@ class _Parser:
             return (C1, C2, C3)[int(text[1]) - 1]
         if text in ("L", "I"):
             self.expect("(")
-            sign = 1
-            if self.peek()[1] in ("+", "-"):
-                if self.next()[1] == "-":
-                    sign = -1
-            kind, itext, iat = self.next()
-            if kind != "int":
-                raise ParseError("expected an index", iat)
+            index, _ = self.signed_int("an index")
             self.expect(")")
-            return (L if text == "L" else I)(sign * int(itext))
+            return (L if text == "L" else I)(index)
         raise ParseError(f"unknown basis symbol {text!r}", at)
 
-    def _starts_scalar(self) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "int" or text == "(" or (kind == "name" and text == "i")
+    def pair(self):
+        """(KEY, KEY)"""
+        self.expect("(")
+        a = self.basis_key()
+        self.expect(",")
+        b = self.basis_key()
+        self.expect(")")
+        return a, b
 
-    def element_term(self):
-        if self._starts_scalar():
-            coeff = self.scalar_factor()
-            self.expect("*")
-            return coeff, self.basis_key()
-        return Scalar(1), self.basis_key()
+    def terms(self, item):
+        """[sign] term {sign term}, term := [scalar *] item, as (negate,
+        coeff, item) triples; self.height ends as the tallest item's."""
+        out = []
+        height = 0
+        negate = bool(self.sign())  # the first sign may be left out
+        while negate is not None:
+            kind, text, _ = self.peek()
+            coeff = Scalar(1)
+            if kind == "int" or text in ("(", "i"):  # a bare sign is the term's
+                coeff = self.scalar() if text == "(" else self.simple_scalar()
+                self.expect("*")
+            out.append((negate, coeff, item()))
+            height = max(height, self.height)
+            negate = self.sign()
+        self.height = height
+        return out
 
     def element(self) -> Element:
         acc = {}
-        negate = False
-        if self.peek()[1] in ("+", "-"):
-            negate = self.next()[1] == "-"
-        while True:
-            coeff, key = self.element_term()
-            if negate:
-                coeff = -coeff
-            acc[key] = acc.get(key, Scalar(0)) + coeff
-            kind, text, _ = self.peek()
-            if text in ("+", "-"):
-                negate = self.next()[1] == "-"
-                continue
-            return Element(acc)
+        for negate, coeff, key in self.terms(self.basis_key):
+            acc[key] = acc.get(key, Scalar(0)) + (-coeff if negate else coeff)
+        return Element(acc)
 
     # -- eval expressions ---------------------------------------------------
 
@@ -229,27 +215,9 @@ class _Parser:
         return node
 
     def additive(self):
-        parts = []
-        height = 0
-        negate = False
-        if self.peek()[1] in ("+", "-"):
-            negate = self.next()[1] == "-"
-        while True:
-            parts.append((negate, self.atom_term()))
-            height = max(height, self.height)
-            kind, text, _ = self.peek()
-            if text in ("+", "-"):
-                negate = self.next()[1] == "-"
-                continue
-            self.height = height + 2  # the sum and its scaled terms
-            return ("sum", parts)
-
-    def atom_term(self):
-        if self._starts_scalar():
-            coeff = self.scalar_factor()
-            self.expect("*")
-            return ("scaled", coeff, self.atom())
-        return ("scaled", Scalar(1), self.atom())
+        parts = self.terms(self.atom)
+        self.height += 2  # the sum and its scaled terms
+        return ("sum", [(negate, ("scaled", c, node)) for negate, c, node in parts])
 
     def atom(self):
         if self.peek()[1] != "[":
@@ -276,14 +244,7 @@ class _Parser:
         table = {}
         if self.peek()[1] != "}":
             while True:
-                sign = 1
-                if self.peek()[1] in ("+", "-"):
-                    if self.next()[1] == "-":
-                        sign = -1
-                kind, text, at = self.next()
-                if kind != "int":
-                    raise ParseError("expected an integer offset", at)
-                offset = sign * int(text)
+                offset, at = self.signed_int("an integer offset")
                 if offset in table:
                     raise ParseError(f"duplicate offset {offset}", at)
                 self.expect(":")
@@ -299,7 +260,7 @@ class _Parser:
 def _parse_all(text: str, rule: str):
     parser = _Parser(text)
     result = getattr(parser, rule)()
-    if not parser.at_end():
+    if parser.peek()[0] != "eof":
         parser.fail(f"unexpected trailing input {parser.peek()[1]!r}")
     return result
 
@@ -360,106 +321,76 @@ def evaluate_expression(node, lie: LieProduct, ls_product=None) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _read_map_file(text: str, directives, argument, usage: str):
+    """The parts and entry tables of a map file.
 
-
-def _no_duplicate(table, key):
-    """A key (or key pair) may be given once; a second value is an error."""
-    if key in table:
-        raise ParseError(f"duplicate entry for {key}")
+    A line '@NAME REST' adds ``directives[NAME](REST)`` to the parts, or,
+    where that entry is None, is an entry line of its own table.  A line
+    'ARGUMENT -> ELEMENT' is an entry: ``argument`` reads its left side,
+    '0' is the zero element, and an argument may be given once per table.
+    Tables are keyed by directive name, None for plain entry lines.
+    """
+    parts = []
+    tables = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            name = None
+            if line.startswith("@"):
+                name, _, line = line.partition(" ")
+                line = line.strip()
+                if name not in directives:
+                    raise ParseError(f"unknown directive {name!r}")
+                if directives[name] is not None:
+                    parts.append(directives[name](line))
+                    continue
+            arg_text, arrow, value_text = line.partition("->")
+            if not arrow:
+                raise ParseError(f"expected {usage!r}")
+            table = tables.setdefault(name, {})
+            arg = argument(arg_text.strip())
+            if arg in table:
+                raise ParseError(f"duplicate entry for {arg}")
+            value_text = value_text.strip()
+            table[arg] = Element.zero() if value_text == "0" else parse_element(value_text)
+        except ParseError as err:
+            raise ParseError(f"line {lineno}: {err}") from None
+    return parts, tables
 
 
 def parse_linear_map_file(text: str, lie: LieProduct = LIE_HV) -> LinearMap:
     """Build a linear map from tabular lines and directives; '@inner x' is
     ad(x) under the bracket ``lie``."""
-    table = {}
-    central = {}
-    parts = []
-    for lineno, line in _content_lines(text):
-        try:
-            if line.startswith("@"):
-                directive, _, rest = line.partition(" ")
-                rest = rest.strip()
-                if directive == "@inner":
-                    parts.append(InnerAd(lie, parse_element(rest)))
-                elif directive in ("@d1", "@d2", "@d3"):
-                    base = {"@d1": D1, "@d2": D2, "@d3": D3}[directive]
-                    parts.append(ScaledMap(base, parse_scalar(rest)))
-                elif directive == "@id":
-                    parts.append(ScalarId(parse_scalar(rest)))
-                elif directive == "@central":
-                    key_text, arrow, value_text = rest.partition("->")
-                    if not arrow:
-                        raise ParseError("expected 'KEY -> ELEMENT'")
-                    key = parse_basis_key(key_text.strip())
-                    _no_duplicate(central, key)
-                    central[key] = parse_element(value_text.strip())
-                else:
-                    raise ParseError(f"unknown directive {directive!r}")
-            else:
-                key_text, arrow, value_text = line.partition("->")
-                if not arrow:
-                    raise ParseError("expected 'KEY -> ELEMENT'")
-                key = parse_basis_key(key_text.strip())
-                _no_duplicate(table, key)
-                value_text = value_text.strip()
-                value = Element.zero() if value_text == "0" else parse_element(value_text)
-                table[key] = value
-        except ParseError as err:
-            raise ParseError(f"line {lineno}: {err}") from None
-    if central:
-        parts.append(CentralMap(central))
-    if table or not parts:
-        parts.insert(0, TabularMap(table))
-    if len(parts) == 1:
-        return parts[0]
-    return SumMap(parts)
+    directives = {
+        "@inner": lambda rest: InnerAd(lie, parse_element(rest)),
+        "@d1": lambda rest: ScaledMap(D1, parse_scalar(rest)),
+        "@d2": lambda rest: ScaledMap(D2, parse_scalar(rest)),
+        "@d3": lambda rest: ScaledMap(D3, parse_scalar(rest)),
+        "@id": lambda rest: ScalarId(parse_scalar(rest)),
+        "@central": None,  # an entry line of its own table
+    }
+    parts, tables = _read_map_file(text, directives, parse_basis_key, "KEY -> ELEMENT")
+    if "@central" in tables:
+        parts.append(CentralMap(tables["@central"]))
+    if None in tables or not parts:
+        parts.insert(0, TabularMap(tables.get(None, {})))
+    return parts[0] if len(parts) == 1 else SumMap(parts)
 
 
 def parse_bilinear_map_file(text: str) -> BilinearMap:
     """Build a bilinear map from tabular pair lines and directives."""
-    table = {}
-    arg_keys = set()
-    parts = []
-    for lineno, line in _content_lines(text):
-        try:
-            if line.startswith("@"):
-                directive, _, rest = line.partition(" ")
-                rest = rest.strip()
-                if directive == "@inner":
-                    parts.append(Inner(parse_scalar(rest)))
-                elif directive == "@romega":
-                    parts.append(ROmega(parse_omega(rest)))
-                else:
-                    raise ParseError(f"unknown directive {directive!r}")
-            else:
-                pair_text, arrow, value_text = line.partition("->")
-                if not arrow:
-                    raise ParseError("expected '(KEY, KEY) -> ELEMENT'")
-                parser = _Parser(pair_text.strip())
-                parser.expect("(")
-                a = parser.basis_key()
-                parser.expect(",")
-                b = parser.basis_key()
-                parser.expect(")")
-                if not parser.at_end():
-                    parser.fail("unexpected trailing input")
-                _no_duplicate(table, (a, b))
-                value_text = value_text.strip()
-                value = Element.zero() if value_text == "0" else parse_element(value_text)
-                table[(a, b)] = value
-                arg_keys.update((a, b))
-        except ParseError as err:
-            raise ParseError(f"line {lineno}: {err}") from None
-    if table:
-        pairs = [(a, b) for a in arg_keys for b in arg_keys]
-        parts.insert(0, TabularBilinear(table, pairs))
+    directives = {
+        "@inner": lambda rest: Inner(parse_scalar(rest)),
+        "@romega": lambda rest: ROmega(parse_omega(rest)),
+    }
+    parts, tables = _read_map_file(
+        text, directives, lambda arg: _parse_all(arg, "pair"), "(KEY, KEY) -> ELEMENT"
+    )
+    if None in tables:
+        keys = {key for pair in tables[None] for key in pair}
+        parts.insert(0, TabularBilinear(tables[None], [(a, b) for a in keys for b in keys]))
     if not parts:
         raise ParseError("empty bilinear map file")
-    if len(parts) == 1:
-        return parts[0]
-    return SumBilinear(parts)
+    return parts[0] if len(parts) == 1 else SumBilinear(parts)

@@ -90,6 +90,17 @@ def test_record_field_rules():
     assert comparison.witness_side is None and SpanComparison(True)
 
 
+def test_record_copies_keep_field_rules():
+    # _make and _replace build through __new__, as the constructor does
+    with pytest.raises(ValueError):
+        Window(3)._replace(n_max=0)
+    with pytest.raises(ValueError):
+        Window._make([0])
+    assert Window._make([2]) == Window(2)
+    alpha = LeftSymParams(1, 0, 1)._replace(alpha=2).alpha
+    assert isinstance(alpha, Scalar) and alpha == Scalar(2)
+
+
 def test_outer_derivation_values():
     assert D1.apply_key(L(4)).is_zero()
     assert D1.apply_key(I(4)) == E(I(4))

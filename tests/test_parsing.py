@@ -186,6 +186,8 @@ def test_linear_map_file_single_directive():
     phi = parse_linear_map_file("@central I(0) -> 2*C3")
     assert isinstance(phi, CentralMap)
     assert phi(Element.basis(I(0))) == Element({C3: 2})
+    # '0' is the zero value on '@central' lines as on table lines
+    assert parse_linear_map_file("@central I(0) -> 0")(Element.basis(I(0))).is_zero()
     phi = parse_linear_map_file("")
     assert isinstance(phi, TabularMap)
     with pytest.raises(DomainNotCovered):
@@ -275,7 +277,7 @@ def test_bilinear_map_file_errors():
         (parse_bilinear_map_file, "(L(1), L(2)) -> I(3)\n(L(1), L(2)) -> I(4)\n",
          "line 2: duplicate entry for (L(1), L(2))"),
         (parse_bilinear_map_file, "(L(1), L(2)) L(3) -> I(3)",
-         "line 1: unexpected trailing input (at position 13)"),
+         "line 1: unexpected trailing input 'L' (at position 13)"),
         (parse_bilinear_map_file, "@romega { 1: 2, 1: 3 }",
          "line 1: duplicate offset 1 (at position 8)"),
         (parse_bilinear_map_file, "# nothing here\n", "empty bilinear map file"),
