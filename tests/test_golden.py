@@ -10,7 +10,8 @@ so their exact checked and skipped counts are pinned as well.  The demos
 run as scripts, and their whole stdout is pinned the same way.  One
 more digest covers every degree slice and the ungraded solve of three
 products on two small windows, so a change to row admission shows at
-any degree.
+any degree.  Per-product digests pin every structure constant of the
+two Lie products and of the left-symmetric family on a window.
 """
 
 import hashlib
@@ -215,6 +216,45 @@ def test_every_slice_digest():
     assert digest.hexdigest() == (
         "9251e5e18a681779a987bf908c17edfba5306398ebdde151380869fec92e6688"
     )
+
+
+LEFTSYM_POINTS = {
+    "eps=1+i": LeftSymParams(0, 0, Scalar(1, 1)),
+    "eps=2/7": LeftSymParams(0, 0, Fraction(2, 7)),
+    "eps=i": LeftSymParams(0, 0, Scalar(0, 1)),
+    "twisted": LeftSymParams(
+        Fraction(1, 2), Scalar(Fraction(2, 3), -1), Scalar(Fraction(3, 2), Fraction(1, 2))
+    ),
+}
+
+# sha256 of "a b a*b" lines over every ordered pair of W6 keys
+CONSTANT_DIGESTS = [
+    ("lie-hv", "b8e0912883f4cf0c9aeaf2838d7cb319e736cc48d5e519fd5c5c4e1e83a673d8"),
+    ("lie-w00", "a9274172e75a2a9885e4150ba0d53baa830c9bc79c40cc53c01140a7465585a1"),
+    ("eps=1+i", "5323946759e68abc63d280256d27dd9f659c023c65bd00e394f665388a7540ab"),
+    ("eps=1+i quotient", "1495b8a76a880a04bb37856ad75f99e2f1eeca6d6276d51133b397d54846b3c3"),
+    ("eps=2/7", "0a923df639a4a5215367713705424df489af4cf776b8c60fe94b56f261939e45"),
+    ("eps=2/7 quotient", "7a47fd6b6cc06f5fdc5d7dae3f6b18eb339eece740afb751bc23e5eae88837b2"),
+    ("eps=i", "c89e02191a79e4a04311b7c2b0d8585022c23adde6d780ffd463e52dcac758e3"),
+    ("eps=i quotient", "e4d5285108f9bfc9180b40b5248b573b65973e5dfb3a6988c4dc3d2ad61eac57"),
+    ("twisted", "ca5d5d9dfcf33c1c17b7c9b063b18db993a5b2a8bf508d2a18cd46d7ad8f6a47"),
+    ("twisted quotient", "76d1577ae0aedbc4b9cb19e45ea3859d20a01a3a66cda07f6dc6d267543e1597"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, digest", CONSTANT_DIGESTS, ids=[name for name, _ in CONSTANT_DIGESTS]
+)
+def test_structure_constant_digest(name, digest):
+    lie = {"lie-hv": LIE_HV, "lie-w00": LIE_W00}
+    if name in lie:
+        product = lie[name]
+    else:
+        point, _, quotient = name.partition(" ")
+        product = LeftSymProduct(LEFTSYM_POINTS[point], quotient=bool(quotient))
+    keys = product.window_keys(6)
+    lines = (f"{a} {b} {product.mul_keys(a, b)}\n" for a in keys for b in keys)
+    assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
