@@ -5,21 +5,23 @@ central symbols C1, C2, C3, and bracket (for integer indices p, q)
 
     [L(p), L(q)] = (p - q) L(p+q) + (p^3 - p)/12 * delta(p, -q) C1
     [L(p), I(q)] = -q I(p+q) - (p^2 + p) * delta(p, -q) C2
+    [I(p), L(q)] = p I(p+q) + (q^2 + q) * delta(p, -q) C2
     [I(p), I(q)] = p * delta(p, -q) C3
 
-with C1, C2, C3 killing everything.  An algebra is named by its product:
-``LIE_HV`` is this bracket and ``LIE_W00`` the quotient by the span of
-C1, C2, C3, the same brackets with every C-term dropped (its elements
-must not touch the central symbols at all).  Every product, Lie or
-left-symmetric, is a ``Product``: ``mul_keys`` on basis symbols, ``mul``
-on elements, and ``window_keys`` for the basis symbols of an index
-window.
+with C1, C2, C3 killing everything.  This table is the code's table:
+``_LIE_TABLE`` holds these four rows term for term, and ``table_keys``
+evaluates it.  An algebra is named by its product: ``LIE_HV`` is this
+bracket and ``LIE_W00`` the quotient by the span of C1, C2, C3, the same
+brackets with every C-term dropped (its elements must not touch the
+central symbols at all).  Every product, Lie or left-symmetric, is a
+``Product``: ``mul_keys`` on basis symbols, ``mul`` on elements, and
+``window_keys`` for the basis symbols of an index window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import IndexOverflow
 from .scalars import Scalar, accumulate, coefficient_text, plain
@@ -236,38 +238,41 @@ def bilinear_extension(on_keys, x: Element, y: Element) -> Element:
     return Element._of(acc)
 
 
+def table_keys(table, has_central: bool, a: BasisKey, b: BasisKey) -> Element:
+    """a(m) * b(n) read from ``table[a.family, b.family]``, a tuple of
+    ``(target, coefficient(m, n))`` terms.  A family target "L" or "I" is
+    that family's key at index m+n; a central target (C1, C2, C3) counts
+    only on the stratum m = -n and only when ``has_central``.  Central
+    arguments give zero, and are refused on a quotient."""
+    if a.is_central or b.is_central:
+        if not has_central:
+            raise ValueError("quotient elements must have no central support")
+        return Element.zero()
+    m, n = a.index, b.index
+    coeffs = {}
+    for target, coefficient in table[a.family, b.family]:
+        if isinstance(target, str):
+            value = coefficient(m, n)
+            if value:
+                coeffs[BasisKey(target, m + n)] = value
+        elif has_central and m == -n:
+            coeffs[target] = coefficient(m, n)
+    return Element(coeffs)
+
+
+_LIE_TABLE = {
+    ("L", "L"): (("L", lambda p, q: p - q), (C1, lambda p, q: Fraction(p**3 - p, 12))),
+    ("L", "I"): (("I", lambda p, q: -q), (C2, lambda p, q: -(p * p + p))),
+    ("I", "L"): (("I", lambda p, q: p), (C2, lambda p, q: q * q + q)),
+    ("I", "I"): ((C3, lambda p, q: p),),
+}
+
+
 @lru_cache(maxsize=None)
 def bracket_keys(has_central: bool, a: BasisKey, b: BasisKey) -> Element:
     """Bracket of two basis symbols: the full bracket when ``has_central``,
     else the centerless quotient.  Called only by ``LieProduct``."""
-    if a.is_central or b.is_central:
-        if not has_central:
-            raise ValueError(f"w00 has no central symbols: [{a}, {b}]")
-        return Element.zero()
-    p, q = a.index, b.index
-    if a.family == "L":
-        if b.family == "L":
-            coeffs = {}
-            if p != q:
-                coeffs[L(p + q)] = p - q
-            if has_central and p == -q:
-                c = Fraction(p**3 - p, 12)
-                if c:
-                    coeffs[C1] = c
-            return Element(coeffs)
-        coeffs = {}
-        if q != 0:
-            coeffs[I(p + q)] = -q
-        if has_central and p == -q:
-            c = -(p * p + p)
-            if c:
-                coeffs[C2] = c
-        return Element(coeffs)
-    if b.family == "L":
-        return -bracket_keys(has_central, b, a)
-    if has_central and p == -q and p != 0:
-        return Element({C3: p})
-    return Element.zero()
+    return table_keys(_LIE_TABLE, has_central, a, b)
 
 
 class Product:
@@ -287,7 +292,15 @@ class Product:
     def mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
         raise NotImplementedError
 
+    def check_element(self, x: Element) -> None:
+        """Reject an element the product's algebra does not contain: a
+        quotient's elements have no central support."""
+        if not self.has_central and x.has_central_support():
+            raise ValueError("quotient elements must have no central support")
+
     def mul(self, x: Element, y: Element) -> Element:
+        self.check_element(x)
+        self.check_element(y)
         return bilinear_extension(self.mul_keys, x, y)
 
     def commutator_keys(self, a: BasisKey, b: BasisKey) -> Element:
@@ -326,22 +339,11 @@ class LieProduct(Product):
     def __init__(self, has_central: bool):
         self.has_central = has_central
         self.name = "lie-hv" if has_central else "lie-w00"
-        self._mul_keys = partial(bracket_keys, has_central)
 
     def mul_keys(self, a, b):
         return bracket_keys(self.has_central, a, b)
 
     commutator_keys = mul_keys
-
-    def check_element(self, x: Element) -> None:
-        """Reject an element the product's algebra does not contain."""
-        if not self.has_central and x.has_central_support():
-            raise ValueError("quotient elements must have no central support")
-
-    def mul(self, x, y):
-        self.check_element(x)
-        self.check_element(y)
-        return bilinear_extension(self._mul_keys, x, y)
 
     def center_basis(self):
         """Basis of the center: I(0), then C1, C2, C3 on the full bracket."""

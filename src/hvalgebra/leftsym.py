@@ -10,8 +10,9 @@ basis symbols by (delta is the Kronecker delta on m = -n)
     I(m) * L(n) = n(1+eps*n)*alpha*delta I(m+n) + n(1+eps*n)*beta*delta C2
     I(m) * I(n) = n/2 * delta C3
 
-with the central symbols two-sided annihilators.  The coefficients are
-implemented exactly as printed in the defining table; the C2 and C3
+with the central symbols two-sided annihilators.  This table is the
+code's table: ``LeftSymProduct`` builds it term for term from (alpha,
+beta, epsilon) and ``core.table_keys`` evaluates it.  The C2 and C3
 strata of the induced commutator are known not to reproduce the ambient
 bracket and are therefore reported, never asserted (see
 ``subadjacent_residual``).  Admissibility keeps every denominator
@@ -31,10 +32,9 @@ from .core import (
     LIE_W00,
     BasisKey,
     Element,
-    I,
-    L,
     Product,
     plain_constants,
+    table_keys,
 )
 from .errors import ZeroDenominator
 from .linmaps import CheckReport, LinearMap, Window, collect_report, is_derivation
@@ -77,51 +77,40 @@ class LeftSymProduct(Product):
         self.has_central = not quotient
         self.name = "leftsym" if self.has_central else "leftsym-quotient"
         self._cache = {}
+        alpha, beta, eps = params
+        twist = (eps - eps.inv()) / 24
+
+        def den(m, n):
+            den = ONE + eps * (m + n)
+            if not den:
+                raise ZeroDenominator(f"1 + eps*({m}+{n}) vanished")
+            return den
+
+        # a delta factor is "... if m == -n else ...", never a zero factor
+        self._table = {
+            ("L", "L"): (
+                ("L", lambda m, n: -(Scalar(n) * (ONE + eps * n)) / den(m, n)),
+                (C1, lambda m, n: Fraction(m**3 - m, 24) + twist * (m * m)),
+            ),
+            ("L", "I"): (
+                ("I", lambda m, n: -n * (ONE + (ONE - eps * n) * alpha) if m == -n else -n),
+                (C2, lambda m, n: Scalar(m * m - m) + (eps * (m * m) + m) * beta),
+            ),
+            ("I", "L"): (
+                ("I", lambda m, n: Scalar(n) * (ONE + eps * n) * alpha if m == -n else 0),
+                (C2, lambda m, n: Scalar(n) * (ONE + eps * n) * beta),
+            ),
+            ("I", "I"): ((C3, lambda m, n: Fraction(n, 2)),),
+        }
 
     def mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
         got = self._cache.get((a, b))
         if got is None:
-            got = self._mul_keys(a, b)
-            self._cache[(a, b)] = got
+            got = self._cache[a, b] = self._mul_keys(a, b)
         return got
 
     def _mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
-        if a.is_central or b.is_central:
-            if not self.has_central:
-                raise ValueError("quotient elements must have no central support")
-            return Element.zero()
-        alpha, beta, eps = self.params.alpha, self.params.beta, self.params.epsilon
-        m, n = a.index, b.index
-        delta = m == -n
-        coeffs = {}
-        if a.family == "L":
-            if b.family == "L":
-                den = ONE + eps * (m + n)
-                if not den:
-                    raise ZeroDenominator(f"1 + eps*({m}+{n}) vanished")
-                coeffs[L(m + n)] = -(Scalar(n) * (ONE + eps * n)) / den
-                if delta and self.has_central:
-                    coeffs[C1] = (
-                        Scalar(Fraction(m**3 - m, 24))
-                        + (eps - eps.inv()) * Fraction(m * m, 24)
-                    )
-            else:
-                factor = ONE
-                if delta:
-                    factor = ONE + (ONE - eps * n) * alpha
-                coeffs[I(m + n)] = Scalar(-n) * factor
-                if delta and self.has_central:
-                    coeffs[C2] = Scalar(m * m - m) + (eps * (m * m) + m) * beta
-        elif b.family == "L":
-            if delta:
-                common = Scalar(n) * (ONE + eps * n)
-                coeffs[I(m + n)] = common * alpha
-                if self.has_central:
-                    coeffs[C2] = common * beta
-        else:
-            if delta and self.has_central:
-                coeffs[C3] = Fraction(n, 2)
-        return Element(coeffs)
+        return table_keys(self._table, self.has_central, a, b)
 
 
 def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:

@@ -277,14 +277,16 @@ class CentralMap(LinearMap):
     """
 
     def __init__(self, table):
-        central = {k for elt in LIE_HV.center_basis() for k in elt.support()}
-        clean = {}
         for key, value in table.items():
-            if any(k not in central for k in value.support()):
-                raise NotCentral(f"value at {key} is not central: {value}")
-            if value:
-                clean[key] = value
-        self.table = clean
+            self.check_value(key, value)
+        self.table = {key: value for key, value in table.items() if value}
+
+    @staticmethod
+    def check_value(key: BasisKey, value: Element) -> None:
+        """Refuse a value outside the center I(0), C1, C2, C3."""
+        center = {k for elt in LIE_HV.center_basis() for k in elt.support()}
+        if not center.issuperset(value.support()):
+            raise NotCentral(f"value at {key} is not central: {value}")
 
     def apply_key(self, key):
         return self.table.get(key, Element.zero())

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bimaps import BilinearMap, Inner, Omega, ROmega, SumBilinear, TabularBilinear
 from .core import LIE_HV, BasisKey, C1, C2, C3, Element, I, L, LieProduct
-from .errors import ParseError
+from .errors import HvError, ParseError
 from .linmaps import (
     D1,
     D2,
@@ -321,14 +321,16 @@ def evaluate_expression(node, lie: LieProduct, ls_product=None) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def _read_map_file(text: str, directives, argument, usage: str):
+def _read_map_file(text: str, directives, argument, usage: str, checks=None):
     """The parts and entry tables of a map file.
 
     A line '@NAME REST' adds ``directives[NAME](REST)`` to the parts, or,
     where that entry is None, is an entry line of its own table.  A line
     'ARGUMENT -> ELEMENT' is an entry: ``argument`` reads its left side,
     '0' is the zero element, and an argument may be given once per table.
-    Tables are keyed by directive name, None for plain entry lines.
+    Tables are keyed by directive name, None for plain entry lines;
+    ``checks[NAME](ARGUMENT, ELEMENT)`` vets an entry of table NAME.  Any
+    fault a line raises becomes a ParseError that names the line.
     """
     parts = []
     tables = {}
@@ -354,8 +356,11 @@ def _read_map_file(text: str, directives, argument, usage: str):
             if arg in table:
                 raise ParseError(f"duplicate entry for {arg}")
             value_text = value_text.strip()
-            table[arg] = Element.zero() if value_text == "0" else parse_element(value_text)
-        except ParseError as err:
+            value = Element.zero() if value_text == "0" else parse_element(value_text)
+            if checks and name in checks:
+                checks[name](arg, value)
+            table[arg] = value
+        except (HvError, ValueError) as err:
             raise ParseError(f"line {lineno}: {err}") from None
     return parts, tables
 
@@ -371,7 +376,8 @@ def parse_linear_map_file(text: str, lie: LieProduct = LIE_HV) -> LinearMap:
         "@id": lambda rest: ScalarId(parse_scalar(rest)),
         "@central": None,  # an entry line of its own table
     }
-    parts, tables = _read_map_file(text, directives, parse_basis_key, "KEY -> ELEMENT")
+    checks = {"@central": CentralMap.check_value}
+    parts, tables = _read_map_file(text, directives, parse_basis_key, "KEY -> ELEMENT", checks)
     if "@central" in tables:
         parts.append(CentralMap(tables["@central"]))
     if None in tables or not parts:

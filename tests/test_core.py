@@ -21,6 +21,7 @@ from hvalgebra.core import (
     L,
 )
 from hvalgebra.errors import IndexOverflow
+from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.scalars import Scalar
 
 HV = LIE_HV
@@ -53,6 +54,23 @@ def test_quotient_rejects_central_keys():
         W00.mul_keys(C1, L(0))
     with pytest.raises(ValueError):
         W00.mul(E(L(1)), E(C3))
+
+
+@pytest.mark.parametrize(
+    "product",
+    [W00, LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)), quotient=True)],
+    ids=["lie-w00", "leftsym-quotient"],
+)
+def test_quotient_refuses_central_arguments(product):
+    # on keys and on elements alike, even where the product would be zero
+    message = "quotient elements must have no central support"
+    for a, b in ((C1, L(0)), (I(2), C3)):
+        with pytest.raises(ValueError, match=message):
+            product.mul_keys(a, b)
+    zero = Element.zero()
+    for x, y in ((E(C1), zero), (zero, E(C2)), (E(L(1)), E(C3) + E(L(2)))):
+        with pytest.raises(ValueError, match=message):
+            product.mul(x, y)
 
 
 def test_antisymmetry_window_8():

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -281,6 +282,12 @@ def test_bilinear_map_file_errors():
         (parse_bilinear_map_file, "@romega { 1: 2, 1: 3 }",
          "line 1: duplicate offset 1 (at position 8)"),
         (parse_bilinear_map_file, "# nothing here\n", "empty bilinear map file"),
+        (parse_linear_map_file, "L(0) -> L(0)\nL(99999999999999999999) -> L(0)",
+         "line 2: index 99999999999999999999 outside the signed 64-bit range"),
+        (parse_linear_map_file, "L(0) -> L(0)\n@central L(1) -> L(1)\nL(1) -> 0",
+         "line 2: value at L(1) is not central: L(1)"),
+        (partial(parse_linear_map_file, lie=LIE_W00), "@inner C1",
+         "line 1: quotient elements must have no central support"),
     ],
     ids=[
         "linear-arrow", "central-arrow", "linear-directive", "linear-key",
@@ -288,7 +295,8 @@ def test_bilinear_map_file_errors():
         "central-duplicate", "bilinear-arrow", "bilinear-directive",
         "bilinear-key", "bilinear-key-name", "bilinear-value",
         "bilinear-duplicate", "bilinear-trailing", "bilinear-directive-value",
-        "bilinear-empty",
+        "bilinear-empty", "linear-index-overflow", "central-not-central",
+        "linear-inner-quotient",
     ],
 )
 def test_map_file_error_messages(parse, text, message):
