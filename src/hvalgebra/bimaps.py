@@ -16,7 +16,7 @@ rows can only enlarge the solution space, never corrupt it).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import (
     LIE_HV,
@@ -37,6 +37,7 @@ from .linmaps import (
     Window,
     admission,
     collect_report,
+    leibniz_parts,
     leibniz_residual,
     scaled_values,
 )
@@ -291,75 +292,47 @@ def solve_biderivations(
         raise ValueError("output bound must be at least twice the window radius")
     domain = product.window_keys(n_max, central=False)
     registry = VarRegistry()
-    out_cache = {}
+    out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(product, s, out_bound, degree))
+    # f(p, q) as a linear form in its unknowns; a central argument reads 0
+    forms = {
+        (p, q): [((u, registry.add(("f", p, q, u))), 1) for u in out_keys(p.index + q.index)]
+        for p in domain
+        for q in domain
+    }
+    zero = dict.fromkeys(CENTRAL_KEYS, ())
+    right = {z: {k: forms[k, z] for k in domain} | zero for z in domain}
+    left = {x: {k: forms[x, k] for k in domain} | zero for x in domain}
 
-    def out_keys(s: int):
-        got = out_cache.get(s)
-        if got is None:
-            got = out_cache[s] = _out_keys(product, s, out_bound, degree)
-        return got
-
-    for p in domain:
-        for q in domain:
-            for u in out_keys(p.index + q.index):
-                registry.add(("f", p, q, u))
-
-    var_of = registry.id_of
     system = LinearSystem(len(registry))
-    add = system.add
-    pinned = system.pinned
     mul = plain_constants(product)
-    in_window = set(domain)
+    admit = lru_cache(maxsize=None)(
+        lambda ia, ib, nc: admission((ia, ib, 0) if nc else (ia, ib), out_bound)
+    )
 
-    def leibniz(a, b, c, var):
-        """Rows of a*g(b, c) + g(a, c)*b - g(a*b, c) = 0, where var(p, q, u)
-        is the unknown of g(p, q) at output u.  The instance is dropped
-        when a*b leaves the window.  A row at w is fed by g(b, c) at
-        w - index(a), by g(a, c) at w - index(b) and, when a*b has a
-        noncentral term, by g(a*b, c) at w itself.  An unknown already
-        pinned to zero is skipped before its terms are built.
+    def leibniz(a, b, d):
+        """Rows of the Leibniz rule at (a, b) for ``d``, a dict from each
+        window key to its linear form.  The instance is dropped when a*b
+        leaves the window.  A row at w is fed by d(b) at w - index(a), by
+        d(a) at w - index(b) and, when a*b has a noncentral term, by
+        d(a*b) at w itself.
         """
         prod = mul(a, b)
-        if not all(k.is_central or k in in_window for k, _ in prod):
-            return
-        ia, ib, ic = a.index, b.index, c.index
-        nc = [kv for kv in prod if not kv[0].is_central]
-        for bt, coeff in nc:
-            for u in out_keys(bt.index + ic):
-                vid = var(bt, c, u)
-                if vid not in pinned:
-                    add(u, vid, -coeff)
-        for u in out_keys(ib + ic):
-            vid = var(b, c, u)
-            if vid in pinned:
-                continue
-            for w, coeff in mul(a, u):
-                add(w, vid, coeff)
-        for u in out_keys(ia + ic):
-            vid = var(a, c, u)
-            if vid in pinned:
-                continue
-            for w, coeff in mul(u, b):
-                add(w, vid, coeff)
-        system.flush(admission((ia, ib, 0) if nc else (ia, ib), out_bound))
+        if all(k in d for k, _ in prod):
+            system.add_parts(leibniz_parts(mul, d.__getitem__, a, b))
+            system.flush(admit(a.index, b.index, any(not k.is_central for k, _ in prod)))
 
-    def f(p, q, u):
-        return var_of(("f", p, q, u))
-
-    def f_transposed(p, q, u):
-        return var_of(("f", q, p, u))
-
-    # The second-slot identity of f at (x, y, z) is the first-slot
-    # identity of its transpose at (y, z, x).  On an antisymmetric product
-    # the later twin, (y, x, z) or (x, z, y), only negates these rows.
+    # The first-slot identity at (x, y, z) is the Leibniz rule of f(., z)
+    # at (x, y), the second-slot one that of f(x, .) at (y, z).  On an
+    # antisymmetric product the later twin, (y, x, z) or (x, z, y), only
+    # negates these rows.
     twins = product.antisymmetric
     for x in domain:
         for y in domain:
             for z in domain:
                 if not (twins and y <= x):
-                    leibniz(x, y, z, f)
+                    leibniz(x, y, right[z])
                 if not (twins and z <= y):
-                    leibniz(y, z, x, f_transposed)
+                    leibniz(y, z, left[x])
 
     basis = system.nullspace()
     meta = {

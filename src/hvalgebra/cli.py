@@ -17,7 +17,8 @@ from .bimaps import interior_projection, is_biderivation, solve_biderivations, s
 from .commuting import is_commuting, solve_commuting
 from .core import LIE_HV, LIE_W00, Product
 from .errors import DomainNotCovered, HvError, ParseError
-from .leftsym import LeftSymParams, LeftSymProduct, is_left_symmetric, subadjacent_residual
+from .leftsym import LeftSymParams, LeftSymProduct, is_left_symmetric, params_valid
+from .leftsym import subadjacent_residual
 from .linmaps import Window, decompose_derivation, is_derivation
 from .parsing import (
     evaluate_expression,
@@ -41,7 +42,11 @@ def _ls_params(args) -> LeftSymParams:
         raise ParseError("left-symmetric products require --epsilon")
     alpha = parse_scalar(args.alpha) if args.alpha is not None else Scalar(0)
     beta = parse_scalar(args.beta) if args.beta is not None else Scalar(0)
-    return LeftSymParams(alpha, beta, parse_scalar(args.epsilon))
+    params = LeftSymParams(alpha, beta, parse_scalar(args.epsilon))
+    if not params_valid(params):
+        rule = "it needs Re > 0 with 1/epsilon not an integer, or Re = 0 with Im > 0"
+        raise ParseError(f"epsilon {params.epsilon} is not admissible: {rule}")
+    return params
 
 
 def _product(name: str, args) -> Product:

@@ -31,6 +31,14 @@ def make_commuting(coeff, table=None) -> LinearMap:
     return SumMap((ScalarId(coeff), CentralMap(table or {})))
 
 
+def polarized_parts(mul, phi, a, b) -> tuple:
+    """The parts of [phi(a), b] + [phi(b), a], the one statement of the
+    polarized rule, in the shape ``linmaps.leibniz_parts`` gives: summed
+    by ``gaussian_sum`` in the checker and turned into rows by
+    ``LinearSystem.add_parts`` in the solver."""
+    return ((1, phi(a), lambda u: mul(u, b)), (1, phi(b), lambda u: mul(u, a)))
+
+
 def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     """Exhaustive polarized check over unordered window pairs.  Each key's
     value is read once per call, by a cache that dies with the call."""
@@ -40,10 +48,7 @@ def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     pairs = (((a, b), "polarized") for i, a in enumerate(keys) for b in keys[i:])
 
     def residual(pair, _):
-        a, b = pair
-        return gaussian_sum(
-            ((1, phi_key(a), lambda u: mul(u, b)), (1, phi_key(b), lambda u: mul(u, a)))
-        )
+        return gaussian_sum(polarized_parts(mul, phi_key, *pair))
 
     return collect_report(residual, pairs)
 
@@ -64,27 +69,16 @@ def solve_commuting(window: Window) -> SolutionSpace:
     domain = LIE_HV.window_keys(n_max)
     out_keys = LIE_HV.window_keys(out_bound)
     registry = VarRegistry()
-    for b in domain:
-        for u in out_keys:
-            registry.add(("phi", b, u))
-    var_of = registry.id_of
-    mul_keys = plain_constants(LIE_HV)
+    phi = {b: [((u, registry.add(("phi", b, u))), 1) for u in out_keys] for b in domain}
+    mul = plain_constants(LIE_HV)
     system = LinearSystem(len(registry))
-    pinned = system.pinned
 
-    for i, bi in enumerate(domain):
-        for bj in domain[i:]:
-            near = [b.index for b in (bi, bj) if not b.is_central]
-            if not near:
-                continue  # both arguments central: no bracket term survives
-            for b_arg, b_other in ((bi, bj), (bj, bi)):
-                for u in out_keys:
-                    vid = var_of(("phi", b_arg, u))
-                    if vid in pinned:
-                        continue
-                    for w, c in mul_keys(u, b_other):
-                        system.add(w, vid, c)
-            system.flush(admission(near, out_bound))
+    for i, a in enumerate(domain):
+        for b in domain[i:]:
+            near = [k.index for k in (a, b) if not k.is_central]
+            if near:  # else both arguments central: no bracket term survives
+                system.add_parts(polarized_parts(mul, phi.__getitem__, a, b))
+                system.flush(admission(near, out_bound))
 
     basis = system.nullspace()
     meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}

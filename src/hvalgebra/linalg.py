@@ -157,18 +157,18 @@ def solve_affine(rows, nvars: int):
 class LinearSystem:
     """The constraint rows of one windowed solve over ``ncols`` unknowns.
 
-    Each identity instance adds its terms with ``add`` (one sparse row per
-    output coordinate), then ``flush`` turns those coordinates into rows.
-    Terms are ``scalars.plain`` numbers, so real rows are built and reduced
-    in int and Fraction arithmetic; the solutions come back as Scalars.
-    A row is kept when it is nonzero and the solver's ``admit(coord)``
-    holds (no predicate admits all), except a single-entry row whose
-    column is already pinned.  A kept row with one entry pins its column
-    to zero: ``add`` drops every later term in a pinned column, so a later
-    row may shrink to one entry and pin its own column, or to nothing and
-    not be kept.  Each kept row differs from the one the solver built by
-    multiples of rows kept before, so the row span, and with it every
-    canonical answer, is that of the built rows.
+    Each identity instance adds its terms with ``add_parts`` (one sparse
+    row per output coordinate), then ``flush`` turns those coordinates
+    into rows.  Terms are ``scalars.plain`` numbers, so real rows are
+    built and reduced in int and Fraction arithmetic; the solutions come
+    back as Scalars.  A row is kept when it is nonzero and the solver's
+    ``admit(coord)`` holds (no predicate admits all), except a
+    single-entry row whose column is already pinned.  A kept row with one
+    entry pins its column to zero: ``add`` drops every later term in a
+    pinned column, so a later row may shrink to one entry and pin its own
+    column, or to nothing and not be kept.  Each kept row differs from
+    the one the solver built by multiples of rows kept before, so the row
+    span, and with it every canonical answer, is that of the built rows.
     """
 
     def __init__(self, ncols: int):
@@ -179,8 +179,7 @@ class LinearSystem:
 
     @property
     def pinned(self):
-        """The pinned columns, as the live set ``flush`` grows: a solver may
-        skip building terms in them, which ``add`` would drop.  Read only."""
+        """The pinned columns, as the live set ``flush`` grows.  Read only."""
         return self._pinned
 
     def add(self, coord, col: int, value) -> None:
@@ -192,6 +191,32 @@ class LinearSystem:
             row[col] = value
         else:
             row.pop(col, None)
+
+    def add_parts(self, parts) -> None:
+        """Add the negated sum of ``(sign, value, read)`` parts, sign 1 or
+        -1, the shape ``linmaps.gaussian_sum`` sums.  One factor of each
+        term is a linear form, ``((key, col), c)`` pairs: either ``value``
+        is a form and ``read(key)`` gives ``(coord, number)`` pairs, or
+        ``value`` holds ``(key, number)`` pairs and ``read(key)`` gives a
+        form.  A pinned column is skipped before its numbers are read, and
+        a number is negated only for a term that is added."""
+        add = self.add
+        pinned = self._pinned
+        for sign, value, read in parts:
+            for key, c in value:
+                if type(key) is tuple:  # a form's (key, col); not a BasisKey
+                    key, col = key
+                    if col not in pinned:
+                        c = -sign * c
+                        for coord, v in read(key):
+                            add(coord, col, v if c == 1 else c * v)
+                    continue
+                neg = None
+                for (coord, col), fc in read(key):
+                    if col not in pinned:
+                        if neg is None:
+                            neg = -c if sign > 0 else c
+                        add(coord, col, neg if fc == 1 else neg * fc)
 
     def flush(self, admit=None) -> None:
         for coord, row in self._coords.items():

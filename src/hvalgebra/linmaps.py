@@ -185,22 +185,24 @@ def gaussian_sum(parts) -> Element:
     )
 
 
-def leibniz_residual(mul, d, a: BasisKey, b: BasisKey) -> Element:
-    """d(a*b) - d(a)*b - a*d(b) at basis keys a, b.
-
-    ``mul`` reads the structure constants and ``d`` the map on a basis
-    key, both as ``scaled_values``.  Every derivation-type identity of the
-    package is this rule for some ``d``; the result is zero exactly when
-    the rule holds at (a, b).  Every value of ``d`` is read before any
-    product, so an uncovered key is what raises.
-    """
-    return gaussian_sum(
-        (
-            (1, mul(a, b), d),
-            (-1, d(a), lambda u: mul(u, b)),
-            (-1, d(b), lambda u: mul(a, u)),
-        )
+def leibniz_parts(mul, d, a: BasisKey, b: BasisKey) -> tuple:
+    """The parts of d(a*b) - a*d(b) - d(a)*b at basis keys a, b: the one
+    statement of the Leibniz rule, which every derivation-type identity of
+    the package is for some ``d``.  A checker reads ``mul`` (structure
+    constants) and ``d`` as ``scaled_values`` and sums the parts with
+    ``gaussian_sum``; a solver reads ``d`` as linear forms and turns the
+    same parts into rows with ``LinearSystem.add_parts``."""
+    return (
+        (1, mul(a, b), d),
+        (-1, d(b), lambda u: mul(a, u)),
+        (-1, d(a), lambda u: mul(u, b)),
     )
+
+
+def leibniz_residual(mul, d, a: BasisKey, b: BasisKey) -> Element:
+    """d(a*b) - d(a)*b - a*d(b), zero exactly when the rule holds at
+    (a, b); an uncovered key of ``d`` is what raises."""
+    return gaussian_sum(leibniz_parts(mul, d, a, b))
 
 
 class LinearMap:
@@ -394,35 +396,31 @@ def decompose_derivation(d: LinearMap, window: Window):
         raise ValueError("decomposition needs a window radius of at least 3")
     product = LIE_W00
     x_keys = [k for k in product.window_keys(2 * n_max) if k != I(0)]
-    labels = [("x", k) for k in x_keys] + [("coef", t) for t in ("d1", "d2", "d3")]
-    ids = {label: n for n, label in enumerate(labels)}
-    outer = {"d1": D1, "d2": D2, "d3": D3}
-
-    # Per output coordinate: ad(x)(b0) + sum of c*d(b0) - d(b0) = 0, with
-    # the constant term in the column past the last unknown.  A tabular d
-    # raises DomainNotCovered at its first uncovered interior key.
-    interior = product.window_keys(n_max - 1)
-    const = len(labels)
+    x = [((k, col), 1) for col, k in enumerate(x_keys)]
+    outer = [((m, col), 1) for col, m in enumerate((D1, D2, D3), len(x))]
+    const = len(x) + len(outer)
     system = LinearSystem(const)
     mul = plain_constants(product)
-    for b0 in interior:
-        for xk in x_keys:
-            for w, value in mul(xk, b0):
-                system.add(w, ids[("x", xk)], value)
-        for tag, mp in outer.items():
-            for w, value in mp.apply_key(b0).items():
-                system.add(w, ids[("coef", tag)], plain(value))
-        for w, value in d.apply_key(b0).items():
-            system.add(w, const, plain(-value))
+
+    def values(m, key):
+        return [(w, plain(v)) for w, v in m.apply_key(key).items()]
+
+    # Per output coordinate: d(b0) - ad(x)(b0) - sum of c*d(b0) = 0, with
+    # the constant term in the column past the last unknown.  A tabular d
+    # raises DomainNotCovered at its first uncovered interior key.
+    for b0 in product.window_keys(n_max - 1):
+        d_b0 = values(d, b0)
+        system.add_parts(
+            (
+                (-1, x, lambda u: mul(u, b0)),
+                (-1, outer, lambda m: values(m, b0)),
+                (1, (((d, const), 1),), lambda _: d_b0),
+            )
+        )
         system.flush()
 
     solution = system.solve_affine()
     if solution is None:
         return None
-    inner = Element(
-        {k: solution.get(ids[("x", k)], Scalar(0)) for k in x_keys}
-    )
-    coeffs = [
-        solution.get(ids[("coef", t)], Scalar(0)) for t in ("d1", "d2", "d3")
-    ]
-    return Decomposition(inner, *coeffs)
+    inner = Element({k: solution.get(col, Scalar(0)) for (k, col), _ in x})
+    return Decomposition(inner, *(solution.get(col, Scalar(0)) for (_, col), _ in outer))

@@ -32,7 +32,7 @@ def test_eval_prints_the_value_alone(capsys):
     "product, full",
     [("lie-hv", True), ("lie-w00", False), ("leftsym", True), ("leftsym-quotient", False)],
 )
-@pytest.mark.parametrize("epsilon", [(), ("--epsilon", "1")], ids=["bracket", "with-epsilon"])
+@pytest.mark.parametrize("epsilon", [(), ("--epsilon", "2/7")], ids=["bracket", "with-epsilon"])
 def test_eval_algebra_follows_the_product(capsys, product, full, epsilon):
     """--product alone picks the full algebra or its quotient, for the
     bracket and for 'o' alike; --epsilon only supplies the parameters."""
@@ -42,7 +42,7 @@ def test_eval_algebra_follows_the_product(capsys, product, full, epsilon):
     if epsilon:
         code, out, _ = run(capsys, "eval", "L(2) o L(-2)", "--product", product, *epsilon)
         assert code == 0
-        assert out == ("-2*L(0) + 1/4*C1\n" if full else "-2*L(0)\n")
+        assert out == ("6/7*L(0) - 2/7*C1\n" if full else "6/7*L(0)\n")
 
 
 def test_eval_dot_product_needs_epsilon(capsys):
@@ -285,13 +285,32 @@ def test_report_leftsym_noncentral_verdict_reads_the_residuals(
 
 
 def test_report_leftsym_prints_nothing_when_it_fails(capsys):
-    # eps = -1/3 makes 1 + eps*(m+n) vanish at m + n = 3, inside window 1
+    # eps = -1/3 would make 1 + eps*(m+n) vanish at m + n = 3, inside
+    # window 1; it is refused before any product is built
     code, out, err = run(
         capsys, "report", "leftsym", "--window", "1", "--epsilon=-1/3"
     )
     assert code == 2
     assert out == ""
-    assert "1 + eps*(2+1) vanished" in err
+    assert "epsilon -1/3 is not admissible" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "L(1) o L(1)", "--epsilon", "1"),
+        ("eval", "L(0) o L(1)", "--epsilon=-1"),
+        ("eval", "[L(1), L(-1)]", "--epsilon=-i", "--product", "leftsym-quotient"),
+        ("check", "derivation", "--map", "unread.map", "--window", "1",
+         "--product", "leftsym", "--epsilon", "1/3"),
+    ],
+    ids=["inverse-integer", "negative", "negative-imaginary", "check-before-reading"],
+)
+def test_inadmissible_epsilon_exits_2_and_states_the_rule(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "is not admissible: it needs Re > 0 with 1/epsilon not an integer" in err
 
 
 def test_decompose(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Exact sparse row reduction, nullspaces, and span comparison."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from hvalgebra import linalg
 from hvalgebra.bimaps import solve_biderivations
 from hvalgebra.commuting import solve_commuting
-from hvalgebra.core import LIE_HV, LIE_W00
+from hvalgebra.core import LIE_HV, LIE_W00, Element, I, L
 from hvalgebra.errors import IncompatibleSpaces, InfeasibleWindow
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linalg import (
@@ -24,7 +23,7 @@ from hvalgebra.linalg import (
     solve_affine,
     span_equal,
 )
-from hvalgebra.linmaps import Window
+from hvalgebra.linmaps import Decomposition, Window, decompose_derivation
 from hvalgebra.scalars import Scalar
 
 
@@ -479,22 +478,47 @@ def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, m
             degree=0,
         ),
         lambda: solve_commuting(Window(3)),
+        lambda: decompose_derivation(
+            Decomposition(
+                Element({L(1): 2, I(2): -1, L(-1): Fraction(1, 2)}), 3, Fraction(-1, 2), Scalar(0, 1)
+            ).as_map(),
+            Window(4),
+        ),
     ],
-    ids=["leftsym-quotient", "commuting"],
+    ids=["leftsym-quotient", "commuting", "decompose"],
 )
 def test_solvers_build_no_terms_in_pinned_columns(solve, monkeypatch):
-    solvers = ("hvalgebra.bimaps", "hvalgebra.commuting")
+    # every term of a solve reaches its system through add
     calls = []
     original = LinearSystem.add
 
     def spy(self, coord, col, value):
-        if sys._getframe(1).f_globals["__name__"] in solvers:
-            calls.append(col in self.pinned)
+        calls.append(col in self.pinned)
         return original(self, coord, col, value)
 
     monkeypatch.setattr(LinearSystem, "add", spy)
     solve()
     assert calls and not any(calls)
+
+
+def test_add_parts_adds_the_negated_sum_in_both_part_shapes():
+    # a form-valued part reads numbers at the form's keys, a number-valued
+    # part reads a form at each key; each term is -sign * product
+    numbers = {L(0): [(I(0), 3)], L(1): [(I(1), Fraction(1, 2))]}
+    forms = {L(2): [((I(2), 2), 1)], L(3): [((I(3), 1), Scalar(0, 1)), ((I(3), 0), 1)]}
+    system = LinearSystem(3)
+    system.add_parts(
+        (
+            (1, [((L(0), 0), 1), ((L(1), 1), 2)], numbers.__getitem__),
+            (-1, [(L(2), 5), (L(3), Scalar(1, 1))], forms.__getitem__),
+        )
+    )
+    system.flush()
+    assert system.rows == S([{0: -3}, {1: -1}, {2: 5}, {1: Scalar(-1, 1), 0: Scalar(1, 1)}])
+    # a pinned column is skipped before anything is read at it
+    system.add_parts(((1, [((L(0), 0), 1)], None), (-1, [(L(2), 7)], forms.__getitem__)))
+    system.flush()
+    assert len(system.rows) == 4
 
 
 def test_pinned_is_a_read_only_view_of_the_flushed_pins():
