@@ -7,11 +7,13 @@ A biderivation of a product * satisfies, for all x, y, z,
     f(x, y*z) = f(x, y)*z + y*f(x, z)        (derivation in the second slot)
 
 The solver turns these identities on a finite index window into an exact
-sparse linear system and returns its canonical nullspace.  A constraint
-row is admitted only when it is an exactly valid consequence of the
-identities: every bilinear-map value it touches must be representable
-inside the chosen output bound, otherwise the row is dropped (dropping
-rows can only enlarge the solution space, never corrupt it).
+sparse linear system and returns its canonical nullspace: the rows are
+the checker's ``linmaps.leibniz_parts`` read on linear forms in the
+unknowns.  A constraint row is admitted only when it is an exactly valid
+consequence of the identities: every bilinear-map value it touches must
+be representable inside the chosen output bound, otherwise the row is
+dropped (dropping rows can only enlarge the solution space, never
+corrupt it).
 """
 
 from __future__ import annotations

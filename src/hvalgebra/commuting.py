@@ -1,6 +1,6 @@
 """Commuting linear maps: [phi(x), y] + [phi(y), x] = 0 (the polarized
 form of [phi(x), x] = 0), their construction, checking, and an exact
-windowed solver.
+windowed solver.  ``polarized_parts`` states the rule once for both.
 
 Every commuting map is a scalar multiple of the identity plus a map with
 central values; the solver's interior projection reproduces exactly that

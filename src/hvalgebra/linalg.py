@@ -10,10 +10,8 @@ representations and every report built on top is byte-stable.  Rows stay
 in reduced canonical form after every stage, with exact entries.  As
 that form is unique, ``rref`` picks its order of work: rows by decreasing
 lead column, with an index of the pivot rows holding each column.
-
-A kept single-entry constraint row pins its column to zero; later rows
-are built without the pinned columns, which leaves the row span as is.
-Every other admitted row is kept, and ``rref`` absorbs the repeats.
+A solver's rows come from ``LinearSystem.add_parts``, the only row
+builder, which leaves out columns pinned to zero.
 """
 
 from __future__ import annotations

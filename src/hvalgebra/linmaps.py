@@ -1,6 +1,7 @@
 """Linear maps on the algebra: structured variants, derivation checking,
 and exact decomposition into an inner part plus the three outer
-derivations of the centerless quotient.
+derivations of the centerless quotient.  ``leibniz_parts`` is the one
+statement of the Leibniz rule for every checker and solver.
 
 The three outer derivations (named d1, d2, d3 throughout the package and
 its file formats) act by
