@@ -148,6 +148,19 @@ def test_symmetry_classes():
     assert symmetry_class(Inner(Scalar(0)), w) == "symmetric"
 
 
+def test_symmetry_class_skips_uncovered_pairs():
+    """A symmetric table known only on the L-L pairs: every pair with an I
+    is skipped, and the L-L pairs decide."""
+    keys = LIE_W00.window_keys(2, central=False)
+    pairs = [(a, b) for a in keys for b in keys if a.family == b.family == "L"]
+    table = {(L(0), L(1)): E(I(1)), (L(1), L(0)): E(I(1)), (L(-1), L(-1)): E(I(-2))}
+    f = TabularBilinear(table, pairs)
+    assert symmetry_class(f, Window(2), LIE_W00) == "symmetric"
+    # the same check on a skew table of the same coverage
+    f = TabularBilinear({(L(0), L(1)): E(I(1)), (L(1), L(0)): -E(I(1))}, pairs)
+    assert symmetry_class(f, Window(2), LIE_W00) == "skew"
+
+
 def test_biderivation_check_reads_each_pair_once_per_call():
     f = CountingClassified(Scalar(2, -1), Omega({0: 1, -1: 3}))
     first = is_biderivation(f, LIE_HV, Window(2))
@@ -263,6 +276,23 @@ def test_graded_solver_matches_the_generator_span():
     interior = interior_projection(space, 2)
     inner_only = classified_span(space, LIE_HV, 2, include_inner=True, offsets=())
     assert span_equal(inner_only, interior).equal
+
+
+def test_classified_span_refuses_an_escaping_generator():
+    space = solve_biderivations(LIE_W00, Window(3), 8, degree=0)
+    message = r"generator output I\(-3\) for \(L\(-2\),L\(-2\)\) escapes the solver's bound"
+    with pytest.raises(ValueError, match=message):
+        classified_span(space, LIE_W00, 2, include_inner=False, offsets=(1,))
+
+
+def test_span_equal_finds_a_witness_on_the_right():
+    space = solve_biderivations(LIE_W00, Window(2), 4, degree=0)
+    inner_only = classified_span(space, LIE_W00, 1, include_inner=True, offsets=())
+    inner_plus_offset = classified_span(space, LIE_W00, 1, include_inner=True, offsets=(0,))
+    cmp = span_equal(inner_only, inner_plus_offset)
+    assert not cmp.equal and cmp.witness_side == "right"
+    assert inner_plus_offset.contains(cmp.witness)
+    assert not inner_only.contains(cmp.witness)
 
 
 def _restriction(space, product, f):

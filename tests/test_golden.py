@@ -11,7 +11,8 @@ run as scripts, and their whole stdout is pinned the same way.  One
 more digest covers every degree slice and the ungraded solve of three
 products on two small windows, so a change to row admission shows at
 any degree.  Per-product digests pin every structure constant of the
-two Lie products and of the left-symmetric family on a window.
+two Lie products and of the left-symmetric family on a window, and
+one covers the reference spans the solves are compared with.
 """
 
 import hashlib
@@ -23,8 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from hvalgebra.bimaps import solve_biderivations
+from hvalgebra.bimaps import classified_span, solve_biderivations
 from hvalgebra.cli import main
+from hvalgebra.commuting import generator_span, solve_commuting
 from hvalgebra.core import LIE_HV, LIE_W00
 from hvalgebra.errors import InfeasibleWindow
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
@@ -218,6 +220,31 @@ def test_every_slice_digest():
     )
 
 
+def test_reference_span_digest():
+    """Machine output of the reference spans that no command prints: the
+    classified family on both brackets at W3/ob8, degrees -1, 0 and 1,
+    and the scalar-plus-central commuting family at W3, each at
+    interiors 1 and 2."""
+    digest = hashlib.sha256()
+    for product in (LIE_W00, LIE_HV):
+        for degree in (-1, 0, 1):
+            space = solve_biderivations(product, Window(3), 8, degree=degree)
+            for n_int in (1, 2):
+                span = classified_span(
+                    space, product, n_int, include_inner=(degree == 0), offsets=(degree,)
+                )
+                head = f"{product} degree={degree} interior={n_int}"
+                text = render_solution_space(span, "machine")
+                digest.update(f"{head}\n{text}\n".encode("utf-8"))
+    space = solve_commuting(Window(3))
+    for n_int in (1, 2):
+        text = render_solution_space(generator_span(space, n_int), "machine")
+        digest.update(f"commuting interior={n_int}\n{text}\n".encode("utf-8"))
+    assert digest.hexdigest() == (
+        "6f8dcd7f1267405e19464e785f57e968c38c6d892b588882dba709bcfb586530"
+    )
+
+
 LEFTSYM_POINTS = {
     "eps=1+i": LeftSymParams(0, 0, Scalar(1, 1)),
     "eps=2/7": LeftSymParams(0, 0, Fraction(2, 7)),
@@ -242,19 +269,36 @@ CONSTANT_DIGESTS = [
 ]
 
 
+def _product(name):
+    lie = {"lie-hv": LIE_HV, "lie-w00": LIE_W00}
+    if name in lie:
+        return lie[name]
+    point, _, quotient = name.partition(" ")
+    return LeftSymProduct(LEFTSYM_POINTS[point], quotient=bool(quotient))
+
+
 @pytest.mark.parametrize(
     "name, digest", CONSTANT_DIGESTS, ids=[name for name, _ in CONSTANT_DIGESTS]
 )
 def test_structure_constant_digest(name, digest):
-    lie = {"lie-hv": LIE_HV, "lie-w00": LIE_W00}
-    if name in lie:
-        product = lie[name]
-    else:
-        point, _, quotient = name.partition(" ")
-        product = LeftSymProduct(LEFTSYM_POINTS[point], quotient=bool(quotient))
+    product = _product(name)
     keys = product.window_keys(6)
     lines = (f"{a} {b} {product.mul_keys(a, b)}\n" for a in keys for b in keys)
     assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CONSTANT_DIGESTS])
+def test_antisymmetric_flag_matches_the_table(name):
+    """``Product.antisymmetric`` is declared, not derived; the tables
+    confirm it both ways.  The Lie brackets are antisymmetric on every W6
+    pair, and each left-symmetric product fails on some W2 pair."""
+    product = _product(name)
+    keys = product.window_keys(6 if product.antisymmetric else 2)
+    skew = all(
+        product.mul_keys(a, b) == -product.mul_keys(b, a) for a in keys for b in keys
+    )
+    assert skew == product.antisymmetric
+    assert product.antisymmetric == (name in ("lie-hv", "lie-w00"))
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
