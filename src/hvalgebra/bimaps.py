@@ -33,15 +33,17 @@ from .core import (
     CENTRAL_KEYS,
 )
 from .errors import DomainNotCovered
-from .linalg import LinearSystem, SolutionSpace, VarRegistry
+from .linalg import LinearSystem, SolutionSpace, VarRegistry, reference_span
 from .linmaps import (
     CheckReport,
     Window,
     admission,
     collect_report,
+    gaussian_sum,
     leibniz_parts,
     leibniz_residual,
     scaled_values,
+    symmetry_parts,
 )
 from .scalars import Scalar
 
@@ -179,8 +181,8 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     call; an uncovered pair raises every time, since the cache keeps no
     exception.
     """
-    f_keys = scaled_values(lambda a, b: f.eval_keys(product, a, b).items())
-    mul = scaled_values(plain_constants(product))
+    f_keys = scaled_values(partial(f.eval_keys, product))
+    mul = scaled_values(product.mul_keys)
     keys = product.window_keys(window.n_max)
     instances = (
         ((x, y, z), eq)
@@ -202,27 +204,23 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
 def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> str:
     """Classify f as "symmetric", "skew" or "neither" on the window.
 
-    The zero map is both; it reports as "symmetric".  Each unordered pair
-    is read once; on the diagonal t is s, so only skewness can fail there.
+    The zero map is both; it reports as "symmetric".  Each key pair is
+    read once, and an unordered pair with an uncovered order is skipped.
+    Each sign's residual is summed by ``gaussian_sum`` until it fails.
     """
     product = product or LIE_HV
+    read = scaled_values(partial(f.eval_keys, product))
     keys = product.window_keys(window.n_max)
-    symmetric = True
-    skew = True
+    holding = {1, -1}  # the signs of symmetry and skewness, while they hold
     for i, a in enumerate(keys):
         for b in keys[i:]:
             try:
-                s = f.eval_keys(product, a, b)
-                t = s if a == b else f.eval_keys(product, b, a)
+                holding -= {s for s in holding if gaussian_sum(symmetry_parts(read, a, b, s))}
             except DomainNotCovered:
                 continue
-            if s != t:
-                symmetric = False
-            if s != -t:
-                skew = False
-            if not symmetric and not skew:
+            if not holding:
                 return "neither"
-    return "symmetric" if symmetric else "skew"
+    return "symmetric" if 1 in holding else "skew"
 
 
 def central_annihilation(f: BilinearMap, product: Product, window: Window) -> CheckReport:
@@ -389,29 +387,12 @@ def classified_span(
     every generator coordinate must exist there (offsets must respect the
     output bound on interior pairs).
     """
-    registry = space.registry
     interior = product.window_keys(n_int, central=False)
-    generators = []
-    if include_inner:
-        generators.append(Inner(1))
-    for k in sorted(offsets):
-        generators.append(ROmega(Omega({k: 1})))
-    vectors = []
-    for gen in generators:
-        vec = {}
-        for p in interior:
-            for q in interior:
-                for u, c in gen.eval_keys(product, p, q).items():
-                    vid = registry.get(("f", p, q, u))
-                    if vid is None:
-                        raise ValueError(
-                            f"generator output {u} for ({p},{q}) escapes the solver's bound"
-                        )
-                    vec[vid] = c
-        vectors.append(vec)
-    out = SolutionSpace(registry, vectors, meta=dict(space.meta))
-    out.meta["family"] = "classified"
-    return out
+    generators = [Inner(1)] if include_inner else []
+    generators += [ROmega(Omega({k: 1})) for k in sorted(offsets)]
+    pairs = [(p, q) for p in interior for q in interior]
+    readers = [partial(gen.eval_keys, product) for gen in generators]
+    return reference_span(space, "f", pairs, readers, "classified")
 
 
 def rehydrate(space: SolutionSpace, index: int) -> TabularBilinear:

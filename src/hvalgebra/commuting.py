@@ -10,7 +10,7 @@ span on a window.
 from __future__ import annotations
 
 from .core import LIE_HV, plain_constants
-from .linalg import LinearSystem, SolutionSpace, VarRegistry
+from .linalg import LinearSystem, SolutionSpace, VarRegistry, reference_span
 from .linmaps import (
     CentralMap,
     CheckReport,
@@ -23,7 +23,6 @@ from .linmaps import (
     gaussian_sum,
     scaled_values,
 )
-from .scalars import Scalar
 
 
 def make_commuting(coeff, table=None) -> LinearMap:
@@ -42,8 +41,8 @@ def polarized_parts(mul, phi, a, b) -> tuple:
 def is_commuting(phi: LinearMap, window: Window) -> CheckReport:
     """Exhaustive polarized check over unordered window pairs.  Each key's
     value is read once per call, by a cache that dies with the call."""
-    phi_key = scaled_values(lambda k: phi.apply_key(k).items())
-    mul = scaled_values(plain_constants(LIE_HV))
+    phi_key = scaled_values(phi.apply_key)
+    mul = scaled_values(LIE_HV.mul_keys)
     keys = LIE_HV.window_keys(window.n_max)
     pairs = (((a, b), "polarized") for i, a in enumerate(keys) for b in keys[i:])
 
@@ -86,19 +85,12 @@ def solve_commuting(window: Window) -> SolutionSpace:
 
 
 def generator_span(space: SolutionSpace, n_int: int) -> SolutionSpace:
-    """Interior span of the known commuting maps: the identity plus every
-    single-entry central-valued table on an interior key."""
-    registry = space.registry
+    """Interior span of the known commuting maps: the pieces of
+    ``make_commuting``, the identity and every single-entry central-valued
+    table on an interior key."""
     interior = LIE_HV.window_keys(n_int, central=False)
-    vectors = []
-    identity = {}
-    for b in interior:
-        identity[registry.id_of(("phi", b, b))] = Scalar(1)
-    vectors.append(identity)
-    central_keys = [elt.support()[0] for elt in LIE_HV.center_basis()]
-    for b in interior:
-        for c in central_keys:
-            vectors.append({registry.id_of(("phi", b, c)): Scalar(1)})
-    out = SolutionSpace(registry, vectors, meta=dict(space.meta))
-    out.meta["family"] = "scalar-plus-central"
-    return out
+    pieces = [ScalarId(1)]
+    pieces += [CentralMap({b: c}) for b in interior for c in LIE_HV.center_basis()]
+    arguments = [(b,) for b in interior]
+    readers = [m.apply_key for m in pieces]
+    return reference_span(space, "phi", arguments, readers, "scalar-plus-central")

@@ -321,7 +321,7 @@ class Product:
 
 def plain_constants(product: Product):
     """``product.mul_keys`` as ``(key, scalars.plain number)`` pairs in key
-    order, each key pair read once by a cache that dies with the function."""
+    order for a solver, each pair read once by a cache that dies with it."""
 
     @lru_cache(maxsize=None)
     def constants(a: BasisKey, b: BasisKey) -> tuple:

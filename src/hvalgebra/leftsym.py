@@ -33,12 +33,11 @@ from .core import (
     BasisKey,
     Element,
     Product,
-    plain_constants,
     table_keys,
 )
 from .errors import ZeroDenominator
 from .linmaps import CheckReport, LinearMap, Window, collect_report, is_derivation
-from .linmaps import gaussian_sum, scaled_values
+from .linmaps import gaussian_sum, scaled_basis, scaled_values, symmetry_parts
 from .scalars import ONE, Scalar
 
 
@@ -76,7 +75,6 @@ class LeftSymProduct(Product):
         self.params = params
         self.has_central = not quotient
         self.name = "leftsym" if self.has_central else "leftsym-quotient"
-        self._cache = {}
         alpha, beta, eps = params
         twist = (eps - eps.inv()) / 24
 
@@ -104,12 +102,6 @@ class LeftSymProduct(Product):
         }
 
     def mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
-        got = self._cache.get((a, b))
-        if got is None:
-            got = self._cache[a, b] = self._mul_keys(a, b)
-        return got
-
-    def _mul_keys(self, a: BasisKey, b: BasisKey) -> Element:
         return table_keys(self._table, self.has_central, a, b)
 
 
@@ -124,7 +116,7 @@ def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
     """
     keys = product.window_keys(window.n_max)
     triples = (((x, y, z), "left-symmetric") for x in keys for y in keys for z in keys)
-    mul = scaled_values(plain_constants(product))
+    mul = scaled_values(product.mul_keys)
 
     def residual(triple, _):
         x, y, z = triple
@@ -142,13 +134,16 @@ def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
 
 def subadjacent_residual(product: LeftSymProduct, window: Window):
     """Commutator-versus-bracket residuals ``((a, b), residual)`` for every
-    ordered window pair, against the bracket with the same center."""
-    bracket = LIE_HV if product.has_central else LIE_W00
+    ordered window pair, against the bracket with the same center: the
+    ``gaussian_sum`` of a*b - b*a - [a, b]."""
+    mul = scaled_values(product.mul_keys)
+    bracket = scaled_values((LIE_HV if product.has_central else LIE_W00).mul_keys)
     keys = product.window_keys(window.n_max)
-    return tuple(
-        ((a, b), product.commutator_keys(a, b) - bracket.mul_keys(a, b))
-        for a in keys for b in keys
-    )
+
+    def residual(a, b):
+        return gaussian_sum((*symmetry_parts(mul, a, b, 1), (-1, bracket(a, b), scaled_basis)))
+
+    return tuple(((a, b), residual(a, b)) for a in keys for b in keys)
 
 
 class _Commutator(Product):

@@ -273,6 +273,27 @@ class SolutionSpace:
         return SolutionSpace(self.registry, vectors, meta=self.meta)
 
 
+def reference_span(space: SolutionSpace, tag, arguments, readers, family) -> SolutionSpace:
+    """The span of known solutions in the registry of ``space``: one
+    vector per reader, holding the coefficient of each key u in
+    ``read(*args)`` at the unknown ``(tag, *args, u)``, for each argument
+    tuple in ``arguments``.  Every such unknown must exist."""
+    vectors = []
+    for read in readers:
+        vec = {}
+        for args in arguments:
+            for u, c in read(*args).items():
+                vid = space.registry.get((tag, *args, u))
+                if vid is None:
+                    where = ",".join(map(str, args))
+                    raise ValueError(
+                        f"generator output {u} for ({where}) escapes the solver's bound"
+                    )
+                vec[vid] = c
+        vectors.append(vec)
+    return SolutionSpace(space.registry, vectors, meta={**space.meta, "family": family})
+
+
 class SpanComparison(
     namedtuple("SpanComparison", "equal witness witness_side", defaults=(None, None))
 ):

@@ -1,7 +1,7 @@
 """Linear maps on the algebra: structured variants, derivation checking,
 and exact decomposition into an inner part plus the three outer
-derivations of the centerless quotient.  ``leibniz_parts`` is the one
-statement of the Leibniz rule for every checker and solver.
+derivations of the centerless quotient.  ``leibniz_parts`` and
+``symmetry_parts`` state the Leibniz rule and symmetry once for the package.
 
 The three outer derivations (named d1, d2, d3 throughout the package and
 its file formats) act by
@@ -135,15 +135,22 @@ def admission(shifts, out_bound: int):
 
 
 def scaled_values(read):
-    """``read`` as a cache of ``scalars.gaussian_integers`` values.
+    """``read`` as a cache of ``scalars.gaussian_integers`` values: the one
+    way a checker reads a value.
 
-    ``read(*keys)`` returns ``(key, number)`` pairs: a map value's
-    ``items()``, or ``core.plain_constants``' structure constants.  Each
-    checker makes its caches per call, so they die with the call.  An
-    exception is not cached, so an uncovered argument (DomainNotCovered)
-    raises on every read.
+    ``read(*keys)`` returns an Element: a map's value on basis keys
+    (``m.apply_key``, ``partial(f.eval_keys, product)``) or a structure
+    constant (``product.mul_keys``).  Each checker makes its caches per
+    call, so they die with the call.  An exception is not cached, so an
+    uncovered argument (DomainNotCovered) raises on every read.
     """
-    return lru_cache(maxsize=None)(lambda *keys: gaussian_integers(read(*keys)))
+    return lru_cache(maxsize=None)(lambda *keys: gaussian_integers(read(*keys).items()))
+
+
+def scaled_basis(key) -> tuple:
+    """The basis element of ``key`` as a scaled value: the read that sums a
+    part's value as it stands."""
+    return 1, ((key, 1, 0),)
 
 
 def gaussian_sum(parts) -> Element:
@@ -198,6 +205,13 @@ def leibniz_parts(mul, d, a: BasisKey, b: BasisKey) -> tuple:
         (-1, d(b), lambda u: mul(a, u)),
         (-1, d(a), lambda u: mul(u, b)),
     )
+
+
+def symmetry_parts(f, a: BasisKey, b: BasisKey, sign: int) -> tuple:
+    """The parts of f(a, b) - sign*f(b, a) for ``f`` read as
+    ``scaled_values``: the one statement of symmetry (sign 1) and
+    skewness (sign -1).  On a product, sign 1 gives the commutator."""
+    return (1, f(a, b), scaled_basis), (-sign, f(b, a), scaled_basis)
 
 
 def leibniz_residual(mul, d, a: BasisKey, b: BasisKey) -> Element:
@@ -352,8 +366,8 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
     domain are counted as skipped, never as failures.  Each key's value
     is read once per call, by a cache that dies with the call.
     """
-    m_key = scaled_values(lambda k: m.apply_key(k).items())
-    mul = scaled_values(plain_constants(product))
+    m_key = scaled_values(m.apply_key)
+    mul = scaled_values(product.mul_keys)
     keys = product.window_keys(window.n_max)
     pairs = (((a, b), "leibniz") for a in keys for b in keys)
     return collect_report(lambda pair, _: leibniz_residual(mul, m_key, *pair), pairs)

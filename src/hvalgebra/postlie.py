@@ -15,7 +15,9 @@ vanishes.
 
 from __future__ import annotations
 
-from .core import Element, L, LIE_HV, plain_constants
+from functools import partial
+
+from .core import Element, L, LIE_HV
 from .bimaps import BilinearMap, Omega, ROmega
 from .linmaps import (
     CheckReport,
@@ -24,19 +26,14 @@ from .linmaps import (
     gaussian_sum,
     leibniz_residual,
     scaled_values,
+    symmetry_parts,
 )
 
 
 def _scaled_readers(f: BilinearMap):
     """The bracket's constants and ``f`` on a pair of basis keys, as
     ``scaled_values`` caches."""
-    mul = scaled_values(plain_constants(LIE_HV))
-    return mul, scaled_values(lambda a, b: f.eval_keys(LIE_HV, a, b).items())
-
-
-def _basis(key) -> tuple:
-    """The basis element of ``key`` as a scaled value."""
-    return 1, ((key, 1, 0),)
+    return scaled_values(LIE_HV.mul_keys), scaled_values(partial(f.eval_keys, LIE_HV))
 
 
 def _lie_action_residual(mul, f, x, y, z) -> Element:
@@ -71,8 +68,7 @@ def is_commutative_postlie(f: BilinearMap, window: Window) -> CheckReport:
 
     def residual(inputs, tag):
         if tag == "commutative":
-            x, y = inputs
-            return gaussian_sum(((1, f_keys(x, y), _basis), (-1, f_keys(y, x), _basis)))
+            return gaussian_sum(symmetry_parts(f_keys, *inputs, 1))
         if tag == "lie-action":
             return _lie_action_residual(mul, f_keys, *inputs)
         x, y, z = inputs

@@ -99,8 +99,8 @@ class _Perturbed(LeftSymProduct):
     """The product with one L*L constant scaled by (1+i)/2, so that the
     left-symmetric identity fails with non-real residuals."""
 
-    def _mul_keys(self, a, b):
-        value = super()._mul_keys(a, b)
+    def mul_keys(self, a, b):
+        value = super().mul_keys(a, b)
         if (a, b) == (L(1), L(-2)):
             value = value.scaled(Scalar(Fraction(1, 2), Fraction(1, 2)))
         return value

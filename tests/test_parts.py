@@ -71,8 +71,8 @@ def test_rows_dotted_with_the_map_give_the_negated_residual(name, rule):
     vector = [table[k][u] for k, u in columns]
     forms = {k: [((u, columns[k, u]), 1) for u in keys] for k in keys}
 
-    scaled_mul = scaled_values(plain_constants(product))
-    scaled_map = scaled_values(lambda k: table[k].items())
+    scaled_mul = scaled_values(product.mul_keys)
+    scaled_map = scaled_values(table.__getitem__)
     mul = plain_constants(product)
     window = product.window_keys(2)
     for a in window:
