@@ -179,7 +179,8 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
     (tabular domain or output-bound gaps) are counted as skipped.  Each
     key pair's value is read once per call, by a cache that dies with the
     call; an uncovered pair raises every time, since the cache keeps no
-    exception.
+    exception.  On an antisymmetric product the twin of (x, y, z) is
+    (y, x, z) in the first slot and (x, z, y) in the second (``collect_report``).
     """
     f_keys = scaled_values(partial(f.eval_keys, product))
     mul = scaled_values(product.mul_keys)
@@ -198,7 +199,11 @@ def is_biderivation(f: BilinearMap, product: Product, window: Window) -> CheckRe
             return leibniz_residual(mul, lambda k: f_keys(k, z), x, y)
         return leibniz_residual(mul, lambda k: f_keys(x, k), y, z)
 
-    return collect_report(residual, instances)
+    def twin(xyz, eq):
+        x, y, z = xyz
+        return (y, x, z) if eq == "first-slot" else (x, z, y)
+
+    return collect_report(residual, instances, twin if product.antisymmetric else None)
 
 
 def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> str:
@@ -206,7 +211,8 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
 
     The zero map is both; it reports as "symmetric".  Each key pair is
     read once, and an unordered pair with an uncovered order is skipped.
-    Each sign's residual is summed by ``gaussian_sum`` until it fails.
+    Each sign's residual is summed by ``gaussian_sum`` until it fails, on a
+    diagonal pair (a, a) only skewness, since f(a, a) - f(a, a) vanishes.
     """
     product = product or LIE_HV
     read = scaled_values(partial(f.eval_keys, product))
@@ -214,8 +220,9 @@ def symmetry_class(f: BilinearMap, window: Window, product: Product = None) -> s
     holding = {1, -1}  # the signs of symmetry and skewness, while they hold
     for i, a in enumerate(keys):
         for b in keys[i:]:
+            signs = holding - {1} if b == a else holding
             try:
-                holding -= {s for s in holding if gaussian_sum(symmetry_parts(read, a, b, s))}
+                holding -= {s for s in signs if gaussian_sum(symmetry_parts(read, a, b, s))}
             except DomainNotCovered:
                 continue
             if not holding:

@@ -281,8 +281,8 @@ class Product:
     Concrete products implement ``mul_keys``; ``mul`` is its bilinear
     extension and ``commutator_keys`` the induced skew product a*b - b*a
     (equal to ``mul_keys`` itself for Lie products).  ``antisymmetric``
-    states that a*b = -(b*a) on every key pair, so a solver may skip the
-    identity instances that only negate another.
+    states that a*b = -(b*a) on every key pair, so a solver skips, and a
+    checker reuses, the identity instances that only negate another.
     """
 
     name = "?"

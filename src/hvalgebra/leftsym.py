@@ -112,7 +112,8 @@ def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
     follow the printed coefficient table verbatim, so a caller that
     reports them rather than asserting them reads ``residual.noncentral()``.
     The residual is one ``linmaps.gaussian_sum`` of the four products, on
-    structure constants read once per key pair as ``scaled_values``.
+    structure constants read once per key pair as ``scaled_values``; for
+    any product, (y, x, z) is the twin of (x, y, z) (``collect_report``).
     """
     keys = product.window_keys(window.n_max)
     triples = (((x, y, z), "left-symmetric") for x in keys for y in keys for z in keys)
@@ -129,7 +130,7 @@ def is_left_symmetric(product: LeftSymProduct, window: Window) -> CheckReport:
             )
         )
 
-    return collect_report(residual, triples)
+    return collect_report(residual, triples, lambda xyz, _: (xyz[1], xyz[0], xyz[2]))
 
 
 def subadjacent_residual(product: LeftSymProduct, window: Window):

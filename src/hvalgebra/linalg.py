@@ -43,9 +43,6 @@ class VarRegistry:
         self._ids[label] = vid
         return vid
 
-    def id_of(self, label) -> int:
-        return self._ids[label]
-
     def get(self, label):
         return self._ids.get(label)
 

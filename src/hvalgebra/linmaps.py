@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 
 from .core import (
     LIE_HV,
@@ -85,7 +85,7 @@ class CheckReport(namedtuple("CheckReport", "checked skipped counterexamples")):
         )
 
 
-def collect_report(residual, instances) -> CheckReport:
+def collect_report(residual, instances, twin=None) -> CheckReport:
     """Evaluate a residual on every instance and fold the results into a report.
 
     Each instance is an ``(inputs, equation)`` pair and its residual is
@@ -93,18 +93,28 @@ def collect_report(residual, instances) -> CheckReport:
     An instance whose evaluation raises DomainNotCovered counts as skipped:
     this is the one place a check decides a skip, and the one place it
     builds a Counterexample.  ``instances`` is consumed once, in order, so
-    a checker can stream them from a generator.
+    a checker can stream them from a generator.  ``twin(inputs, equation)``
+    names the inputs whose residual negates this one, listed earlier when
+    they sort lower; the later twin then takes the earlier verdict, a
+    residual negated, unevaluated.  Twins read the same map values, and
+    only a map read raises DomainNotCovered, so they skip together.
     """
+    kept = {}  # skip (None) and counterexample verdicts awaiting their twin
 
     def verdict(instance):
         inputs, equation = instance
+        partner = inputs if twin is None else twin(inputs, equation)
+        if partner < inputs:
+            found = kept.pop((partner, equation), ())
+            return Counterexample(inputs, equation, -found.residual) if found else found
         try:
             value = residual(inputs, equation)
+            found = Counterexample(inputs, equation, value) if value else ()
         except DomainNotCovered:
-            return None
-        if value.is_zero():
-            return ()
-        return Counterexample(inputs, equation, value)
+            found = None
+        if found != () and partner != inputs:
+            kept[inputs, equation] = found
+        return found
 
     checked = 0
     skipped = 0
@@ -158,33 +168,36 @@ def gaussian_sum(parts) -> Element:
     for each coefficient c at key k of ``value``.
 
     ``value`` and every ``read(k)`` are scaled values (``scaled_values``).
-    All reads come first; then the products are summed as Gaussian
-    integers, in ints, over the lcm of their denominators.  A Scalar is
-    made only for a nonzero coordinate of the sum.
+    Each product is added as it is read, as Gaussian integers in ints over
+    the running lcm of the denominators, rescaling the sum when it grows.
+    A Scalar is made only for a nonzero coordinate of the sum.
     """
-    terms = []
-    for sign, (cd, coeffs), read in parts:
-        for k, re, im in coeffs:
-            vd, v = read(k)
-            terms.append((cd * vd, sign * re, sign * im, v))
-    den = lcm(*[term[0] for term in terms])
+    den = 1
     acc = {}
     get = acc.get
-    for e, cr, ci, entries in terms:
-        if e != den:
-            m = den // e
+    for sign, (cd, coeffs), read in parts:
+        for k, cr, ci in coeffs:
+            vd, entries = read(k)
+            e = cd * vd
+            if den % e:
+                m = e // gcd(den, e)  # lcm(den, e) == den * m
+                for pair in acc.values():
+                    pair[0] *= m
+                    pair[1] *= m
+                den *= m
+            m = sign * (den // e)
             cr *= m
             ci *= m
-        for key, re, im in entries:
-            r = cr * re - ci * im
-            i = cr * im + ci * re
-            old = get(key)
-            if old is None:
-                acc[key] = [r, i]
-            else:
-                old[0] += r
-                old[1] += i
-    return Element(
+            for key, re, im in entries:
+                r = cr * re - ci * im
+                i = cr * im + ci * re
+                old = get(key)
+                if old is None:
+                    acc[key] = [r, i]
+                else:
+                    old[0] += r
+                    old[1] += i
+    return Element._of(
         {
             key: Scalar(Fraction(r, den), Fraction(i, den))
             for key, (r, i) in acc.items()
@@ -364,13 +377,15 @@ def is_derivation(m: LinearMap, product: Product, window: Window) -> CheckReport
 
     Pairs whose product support (or arguments) escape a tabular map's
     domain are counted as skipped, never as failures.  Each key's value
-    is read once per call, by a cache that dies with the call.
+    is read once per call, by a cache that dies with the call.  On an
+    antisymmetric product (b, a) is the twin of (a, b) (``collect_report``).
     """
     m_key = scaled_values(m.apply_key)
     mul = scaled_values(product.mul_keys)
     keys = product.window_keys(window.n_max)
     pairs = (((a, b), "leibniz") for a in keys for b in keys)
-    return collect_report(lambda pair, _: leibniz_residual(mul, m_key, *pair), pairs)
+    twin = (lambda pair, _: pair[::-1]) if product.antisymmetric else None
+    return collect_report(lambda pair, _: leibniz_residual(mul, m_key, *pair), pairs, twin)
 
 
 class Decomposition(namedtuple("Decomposition", "inner d1_coeff d2_coeff d3_coeff")):

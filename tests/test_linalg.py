@@ -59,7 +59,7 @@ def test_registry_is_append_only():
     a = reg.add("a")
     b = reg.add("b")
     assert (a, b) == (0, 1)
-    assert reg.id_of("b") == 1
+    assert (reg.get("b"), reg.get("c")) == (1, None)
     assert reg.label_of(0) == "a"
     with pytest.raises(ValueError):
         reg.add("a")

@@ -293,3 +293,29 @@ def test_collect_report_skips_only_uncovered_items():
     assert [(c.inputs, c.equation, c.residual) for c in report.counterexamples] == [
         ((n,), "right", E(L(n))) for n in (1, 3, 5)
     ]
+
+
+def test_collect_report_evaluates_each_twin_pair_once():
+    # residual(b, a) = -residual(a, b); a pair touching 3 is uncovered
+    calls = Counter()
+
+    def residual(inputs, equation):
+        calls[inputs] += 1
+        a, b = inputs
+        if 3 in inputs:
+            raise DomainNotCovered(inputs)
+        return Element({L(a + b): a - b, I(0): Scalar(0, a * a - b * b)})
+
+    def instances():
+        return (((a, b), "eq") for a in range(5) for b in range(5))
+
+    want = collect_report(residual, instances())
+    calls.clear()
+    got = collect_report(residual, instances(), lambda pair, _: pair[::-1])
+    assert got == want
+    assert (got.checked, got.skipped, len(got.counterexamples)) == (16, 9, 12)
+    # the later twin carries the negated residual under its own inputs
+    later = [c for c in got.counterexamples if c.inputs == (2, 0)]
+    assert later == [Counterexample((2, 0), "eq", -Element({L(2): -2, I(0): Scalar(0, -4)}))]
+    # one call per twin pair, the diagonal included; skips propagate unevaluated
+    assert calls == Counter({(a, b): 1 for a in range(5) for b in range(a, 5)})
