@@ -94,10 +94,11 @@ def collect_report(residual, instances, twin=None) -> CheckReport:
     this is the one place a check decides a skip, and the one place it
     builds a Counterexample.  ``instances`` is consumed once, in order, so
     a checker can stream them from a generator.  ``twin(inputs, equation)``
-    names the inputs whose residual negates this one, listed earlier when
-    they sort lower; the later twin then takes the earlier verdict, a
-    residual negated, unevaluated.  Twins read the same map values, and
-    only a map read raises DomainNotCovered, so they skip together.
+    names the inputs whose residual is exactly the negation of this one,
+    listed earlier whenever they sort lower; the later twin is not
+    evaluated but takes that verdict, a counterexample's residual negated.
+    Twins read the same map values, and a map read is the only read that
+    can raise DomainNotCovered, so they skip together.
     """
     kept = {}  # skip (None) and counterexample verdicts awaiting their twin
 
