@@ -11,8 +11,9 @@ run as scripts, and their whole stdout is pinned the same way.  One
 more digest covers every degree slice and the ungraded solve of three
 products on two small windows, so a change to row admission shows at
 any degree.  Per-product digests pin every structure constant of the
-two Lie products and of the left-symmetric family on a window, and
-one covers the reference spans the solves are compared with.
+two Lie products and of the left-symmetric family on a window, one
+covers the reference spans the solves are compared with, and one pins
+the rows three solves hand to elimination, in order.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from hvalgebra import linalg
 from hvalgebra.bimaps import classified_span, solve_biderivations
 from hvalgebra.cli import main
 from hvalgebra.commuting import generator_span, solve_commuting
@@ -242,6 +244,49 @@ def test_reference_span_digest():
         digest.update(f"commuting interior={n_int}\n{text}\n".encode("utf-8"))
     assert digest.hexdigest() == (
         "6f8dcd7f1267405e19464e785f57e968c38c6d892b588882dba709bcfb586530"
+    )
+
+
+ROW_SOLVES = [
+    ("graded lie-w00 W2/ob4", lambda: solve_biderivations(LIE_W00, Window(2), 4, degree=0)),
+    (
+        "leftsym-quotient W2/ob4",
+        lambda: solve_biderivations(
+            LeftSymProduct(
+                LeftSymParams(
+                    Scalar(Fraction(1, 2), Fraction(1, 3)), Scalar(Fraction(2, 3), -1), Scalar(1, 1)
+                ),
+                quotient=True,
+            ),
+            Window(2),
+            4,
+            degree=0,
+        ),
+    ),
+    ("ungraded lie-hv W2/ob4", lambda: solve_biderivations(LIE_HV, Window(2), 4)),
+]
+
+
+def test_elimination_rows_digest(monkeypatch):
+    """The rows each solve hands to elimination, in order, entry by entry
+    with each entry's type: assembly must build the same rows however the
+    elimination behind it works."""
+    digest = hashlib.sha256()
+    original = linalg.nullspace
+
+    def record(rows, ncols):
+        digest.update(f"ncols={ncols} rows={len(rows)}\n".encode("utf-8"))
+        for row in rows:
+            line = " ".join(f"{c}:{type(v).__name__}:{v}" for c, v in row.items())
+            digest.update(f"{line}\n".encode("utf-8"))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", record)
+    for name, solve in ROW_SOLVES:
+        digest.update(f"{name}\n".encode("utf-8"))
+        solve()
+    assert digest.hexdigest() == (
+        "88d6de00294b4c03cd8aa999784bbb0d5a6e848ac61d28d1d266a511e3a744d0"
     )
 
 
