@@ -148,9 +148,11 @@ def subadjacent_residual(product: LeftSymProduct, window: Window):
 
 
 class _Commutator(Product):
-    """The skew product a*b - b*a induced by a product."""
+    """The skew product a*b - b*a induced by a product, antisymmetric by
+    construction."""
 
     name = "commutator"
+    antisymmetric = True
 
     def __init__(self, base: Product):
         self.has_central = base.has_central

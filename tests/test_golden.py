@@ -31,7 +31,7 @@ from hvalgebra.cli import main
 from hvalgebra.commuting import generator_span, solve_commuting
 from hvalgebra.core import LIE_HV, LIE_W00
 from hvalgebra.errors import InfeasibleWindow
-from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
+from hvalgebra.leftsym import LeftSymParams, LeftSymProduct, _Commutator
 from hvalgebra.linmaps import Window
 from hvalgebra.render import render_solution_space
 from hvalgebra.scalars import Scalar
@@ -332,18 +332,23 @@ def test_structure_constant_digest(name, digest):
     assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", [name for name, _ in CONSTANT_DIGESTS])
+FLAGGED = [name for name, _ in CONSTANT_DIGESTS] + ["twisted commutator", "eps=i commutator"]
+
+
+@pytest.mark.parametrize("name", FLAGGED)
 def test_antisymmetric_flag_matches_the_table(name):
     """``Product.antisymmetric`` is declared, not derived; the tables
-    confirm it both ways.  The Lie brackets are antisymmetric on every W6
-    pair, and each left-symmetric product fails on some W2 pair."""
-    product = _product(name)
+    confirm it both ways.  The Lie brackets and the commutators of
+    left-symmetric products are antisymmetric on every W6 pair, and each
+    left-symmetric product fails on some W2 pair."""
+    base, commutator = name.removesuffix(" commutator"), name.endswith(" commutator")
+    product = _Commutator(_product(base)) if commutator else _product(name)
     keys = product.window_keys(6 if product.antisymmetric else 2)
     skew = all(
         product.mul_keys(a, b) == -product.mul_keys(b, a) for a in keys for b in keys
     )
     assert skew == product.antisymmetric
-    assert product.antisymmetric == (name in ("lie-hv", "lie-w00"))
+    assert product.antisymmetric == (commutator or name in ("lie-hv", "lie-w00"))
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hvalgebra.bimaps import TabularBilinear, is_biderivation
 from hvalgebra.core import LIE_HV, LIE_W00, C1, Element, I, L, linear_extension
 from hvalgebra.errors import DomainNotCovered
-from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
+from hvalgebra.leftsym import LeftSymParams, LeftSymProduct, check_derivation_inheritance
 from hvalgebra.linmaps import (
     CentralMap,
     TabularMap,
@@ -141,6 +141,34 @@ def test_derivation_reports_match_on_partial_tables(seed):
         lambda pair, _: element_residual(product, m.apply_key, *pair), pairs
     )
     assert_same_report(is_derivation(m, product, Window(2)), want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_derivation_inheritance_reports_match_on_partial_tables(seed):
+    # the commutator of a left-symmetric product is antisymmetric, so its
+    # check evaluates one twin of each pair; the reference evaluates both
+    product = PRODUCTS["leftsym"]
+    rng = random.Random(seed)
+    keys = product.window_keys(4)
+    table = {k: random_element(rng, keys) for k in keys if rng.random() < 0.88}
+    m = TabularMap(table)
+    basis = Element.basis
+
+    def commutator(u, v):
+        return product.mul(u, v) - product.mul(v, u)
+
+    def residual(pair, _):
+        a, b = pair
+        return (
+            linear_extension(m.apply_key, commutator(basis(a), basis(b)))
+            - commutator(m.apply_key(a), basis(b))
+            - commutator(basis(a), m.apply_key(b))
+        )
+
+    pairs = (((a, b), "leibniz") for a in product.window_keys(2) for b in product.window_keys(2))
+    want = collect_report(residual, pairs)
+    assert_same_report(check_derivation_inheritance(m, product, Window(2)), want)
 
 
 def reference_postlie(f, window):
