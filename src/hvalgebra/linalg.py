@@ -1,14 +1,17 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
 Vectors and matrix rows are dicts mapping dense variable ids to nonzero
-ints, Fractions or Scalars, in any mix: elimination needs only the number
-protocol, ``rref`` keeps Scalar rows Scalar, and ``nullspace`` and
-``solve_affine`` always answer in Scalars.  Everything is reduced to a
-canonical form (RREF with leading ones and pivots in increasing variable
-order), so two computations of the same span produce identical
-representations and every report built on top is byte-stable.  Rows stay
-in reduced canonical form after every stage, with exact entries.  As
-that form is unique, ``rref`` picks its order of work: rows by decreasing
+ints, Fractions or Scalars, in any mix.  ``rref``, the one elimination
+routine, is fraction-free: it scales each row to Gaussian integers as it
+takes it (ints where real) and keeps every pivot row primitive with a
+positive integer lead, so elimination multiplies and adds integers.  Its
+answer is the canonical form (RREF with leading ones and pivots in
+increasing variable order), so two computations of the same span produce
+identical representations and every report built on top is byte-stable.
+Only that answer divides by the leads: it comes back in ints and
+Fractions, or in Scalars when any entry given was a Scalar, and
+``nullspace`` and ``solve_affine`` always answer in Scalars.  As the
+form is unique, ``rref`` picks its order of work: rows by decreasing
 lead column, with an index of the pivot rows holding each column.
 A solver's rows come from ``LinearSystem.add_parts``, the only row
 builder, which leaves out columns pinned to zero.
@@ -17,9 +20,11 @@ builder, which leaves out columns pinned to zero.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import Scalar, accumulate, reciprocal
+from .scalars import ONE, Scalar, accumulate
 
 
 class VarRegistry:
@@ -56,28 +61,117 @@ class VarRegistry:
         return len(self._labels)
 
 
-def _eliminate(row: dict, col: int, pivot_row: dict) -> None:
-    """Clear ``row[col]`` in place with ``pivot_row``, whose entry at col is
-    1.  That entry is left out of the sum, as it only cancels ``row[col]``."""
-    factor = row.pop(col)
-    rest = dict(pivot_row)
-    del rest[col]
+class _Gaussian:
+    """A Gaussian integer re + im*i with im nonzero: the non-real entry of
+    a row under elimination.  An operation whose result is real returns
+    it as an int, so ints hold every real entry."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Gaussian(self.re * other, self.im * other) if other else 0
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _gaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Gaussian(self.re + other, self.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __floordiv__(self, n: int):
+        """Exact division by an int that divides both parts."""
+        return _Gaussian(self.re // n, self.im // n)
+
+
+def _gaussian(re: int, im: int):
+    return _Gaussian(re, im) if im else re
+
+
+def _integral(row: dict):
+    """``row`` as a new dict of Gaussian integers, scaled by the lcm of its
+    denominators, and whether any entry was a Scalar."""
+    den = 1
+    ints, scalar = True, False
+    for v in row.values():
+        if type(v) is Fraction:
+            ints = False
+            den = lcm(den, v.denominator)
+        elif type(v) is Scalar:
+            ints = False
+            scalar = True
+            den = lcm(den, v.re.denominator, v.im.denominator)
+    if ints:
+        return dict(row), False
+    out = {}
+    for c, v in row.items():
+        if type(v) is Scalar:
+            re, im = v.re, v.im
+            out[c] = _gaussian(
+                re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+            )
+        elif type(v) is Fraction:
+            out[c] = v.numerator * (den // v.denominator)
+        else:
+            out[c] = v * den
+    return out, scalar
+
+
+def _eliminate(row: dict, col: int, lead, rest: dict) -> int:
+    """Clear ``row[col]`` in place with the pivot row ``lead`` at col plus
+    ``rest``: row = s*row - (row[col]/g)*rest, where g = gcd(lead, row[col])
+    over the integers and s = lead/g.  Returns s.  With lead 1 this is
+    row - row[col]*rest, in whatever numbers the rows hold."""
+    f = row.pop(col)
+    s = 1
+    if lead != 1:
+        g = gcd(lead, f) if type(f) is int else gcd(lead, f.re, f.im)
+        s = lead // g
+        f = f // g
+        if s != 1:
+            for c, v in row.items():
+                row[c] = s * v
     if rest:
-        accumulate(row, rest, -factor)
+        accumulate(row, rest, -f)
+    return s
 
 
 def _reduce(row: dict, pivots: dict) -> dict:
-    """Eliminate every pivot column from ``row`` (row is not mutated).
+    """Eliminate every pivot column from ``row``, in place.
 
-    Pivot rows have their minimum column as pivot and all other entries at
-    free columns, so one pass in increasing column order terminates.
+    ``pivots`` maps a column to its pivot row as ``(lead, rest)``.  Pivot
+    rows hold, besides their pivot, only free columns, so one pass in
+    increasing column order terminates.
     """
-    out = dict(row)
     for col in sorted(row):
-        prow = pivots.get(col)
-        if prow is not None and col in out:
-            _eliminate(out, col, prow)
-    return out
+        pivot = pivots.get(col)
+        if pivot is not None and col in row:
+            _eliminate(row, col, *pivot)
+    return row
+
+
+def _primitive(lead: int, rest: dict) -> int:
+    """Divide the pivot row ``lead`` plus ``rest`` (lead a positive int) by
+    the gcd of all its integer parts, in place; returns the new lead."""
+    g = lead
+    for v in rest.values():
+        g = gcd(g, v) if type(v) is int else gcd(g, v.re, v.im)
+        if g == 1:
+            return lead
+    for c, v in rest.items():
+        rest[c] = v // g
+    return lead // g
 
 
 def rref(rows) -> list:
@@ -89,24 +183,63 @@ def rref(rows) -> list:
     column.  ``holders`` maps a column to the pivots whose rows held it;
     an entry goes stale when the column cancels, so it is checked.  Pivot
     selection always takes the smallest variable id.
+
+    Elimination is fraction-free.  Each row is scaled to Gaussian integers
+    when it is taken (ints where real, ``_Gaussian`` where not) and reduced
+    by ``row = lead*row - f*pivot`` with common integer factors divided
+    out first.  A pivot row is kept primitive with a positive integer
+    lead: a non-real lead is made real by multiplying the row with its
+    conjugate.  Only the answer divides by the lead, so the rows come back
+    with leading ones, as ints and Fractions, or all as Scalars when any
+    input entry was a Scalar.  The input rows are never mutated.
     """
     pivots = {}
     holders = {}
+    scalar = False
     for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
+        row, has_scalar = _integral(row)
+        scalar = scalar or has_scalar
         row = _reduce(row, pivots)
         if not row:
             continue
         col = min(row)
-        inv = reciprocal(row[col])
-        row = {c: v * inv for c, v in row.items()}
-        touched = [p for p in holders.pop(col, ()) if col in pivots[p]]
+        lead = row.pop(col)
+        if type(lead) is _Gaussian:
+            conj = _Gaussian(lead.re, -lead.im)
+            for c, v in row.items():
+                row[c] = conj * v
+            lead = lead.re * lead.re + lead.im * lead.im
+        elif lead < 0:
+            lead = -lead
+            for c, v in row.items():
+                row[c] = -v
+        lead = _primitive(lead, row)
+        touched = [p for p in holders.pop(col, ()) if col in pivots[p][1]]
         for p in touched:
-            _eliminate(pivots[p], col, row)
+            plead, prest = pivots[p]
+            plead *= _eliminate(prest, col, lead, row)
+            pivots[p] = _primitive(plead, prest), prest
         touched.append(col)
-        for c in row.keys() - {col}:
+        for c in row:
             holders.setdefault(c, set()).update(touched)
-        pivots[col] = row
-    return [pivots[c] for c in sorted(pivots)]
+        pivots[col] = lead, row
+    return [_leading_one(col, *pivots[col], scalar) for col in sorted(pivots)]
+
+
+def _leading_one(col: int, lead: int, rest: dict, scalar: bool) -> dict:
+    """The pivot row divided by its lead, as Scalars when ``scalar``."""
+    if scalar:
+        out = {col: ONE}
+        for c, v in rest.items():
+            if type(v) is int:
+                out[c] = Scalar(Fraction(v, lead))
+            else:
+                out[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
+        return out
+    out = {col: 1}
+    for c, v in rest.items():
+        out[c] = v if lead == 1 else Fraction(v, lead)
+    return out
 
 
 def rank(rows) -> int:
@@ -155,8 +288,8 @@ class LinearSystem:
     Each identity instance adds its terms with ``add_parts`` (one sparse
     row per output coordinate), then ``flush`` turns those coordinates
     into rows.  Terms are ``scalars.plain`` numbers, so real rows are
-    built and reduced in int and Fraction arithmetic; the solutions come
-    back as Scalars.  A row is kept when it is nonzero and the solver's
+    built in int and Fraction arithmetic and reduced in ints; the
+    solutions come back as Scalars.  A row is kept when it is nonzero and the solver's
     ``admit(coord)`` holds (no predicate admits all), except a
     single-entry row whose column is already pinned.  A kept row with one
     entry pins its column to zero: ``add`` drops every later term in a
@@ -252,12 +385,15 @@ class SolutionSpace:
 
     def _pivot_rows(self):
         if self._pivots is None:
-            self._pivots = {min(row): row for row in self.basis}
+            self._pivots = {}
+            for row in self.basis:
+                lead = min(row)
+                self._pivots[lead] = 1, {c: v for c, v in row.items() if c != lead}
         return self._pivots
 
     def reduce(self, vector: dict) -> dict:
         """Residual of ``vector`` after elimination against the basis."""
-        return _reduce(vector, self._pivot_rows())
+        return _reduce(dict(vector), self._pivot_rows())
 
     def contains(self, vector: dict) -> bool:
         return not self.reduce(vector)

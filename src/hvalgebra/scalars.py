@@ -213,13 +213,6 @@ def gaussian_integers(pairs) -> tuple:
     )
 
 
-def reciprocal(value):
-    """The exact inverse of a nonzero int, Fraction or Scalar."""
-    if type(value) is Scalar:
-        return value.inv()
-    return value if value == 1 or value == -1 else 1 / Fraction(value)
-
-
 def accumulate(acc: dict, terms: dict, factor=None) -> None:
     """acc += factor * terms, in place, on dicts of nonzero exact numbers.
 

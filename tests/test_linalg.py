@@ -1,5 +1,6 @@
 """Exact sparse row reduction, nullspaces, and span comparison."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -237,6 +238,66 @@ def test_rref_does_not_depend_on_the_row_order(data):
     shuffled = data.draw(st.permutations(rows))
     assert rref(shuffled) == expected
     assert rref(row for row in shuffled) == expected
+
+
+def _oracle_rows(rows, ncols):
+    """The dense oracle's RREF as sparse rows of Scalars."""
+    return [
+        {c: Scalar(re, im) for c, (re, im) in enumerate(row) if re or im}
+        for row in _dense_rref([_to_dense(row, ncols) for row in rows], ncols)
+    ]
+
+
+_big = 10**20
+_large_entries = st.one_of(
+    st.integers(-_big, _big).filter(bool),
+    st.builds(Fraction, st.integers(-_big, _big), st.integers(10**15, _big)),
+    st.builds(
+        Scalar,
+        st.builds(Fraction, st.integers(-_big, _big), st.integers(1, _big)),
+        st.builds(Fraction, st.integers(-_big, _big).filter(bool), st.integers(1, _big)),
+    ),
+)
+
+
+@st.composite
+def _large_systems(draw):
+    """Rows of large ints, Fractions with large denominators and non-real
+    Scalars, so leads of every kind meet in one system."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), _large_entries), max_size=5)
+    )
+    return [{c: v for c, v in row.items() if v} for row in rows], ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(_large_systems())
+# entries that stay integral, and entries that need the final division
+@example(([{0: 1, 1: 2}, {1: 1, 2: 3}, {0: 2, 1: 5, 2: 3}], 3))
+@example(([{0: 2, 1: 1}, {1: 3, 2: 1}, {0: 2, 1: 4, 2: 1}], 3))
+@example(([{0: Scalar(1, 2), 1: 3}, {0: Scalar(0, 1), 1: Scalar(1, 1), 2: 5}], 3))
+def test_rref_of_large_and_non_real_entries_equals_the_oracle(system):
+    rows, ncols = system
+    assert rref(rows) == _oracle_rows(rows, ncols)
+    _check_against_the_dense_oracle(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_mixed_systems(), _large_systems()))
+def test_elimination_never_mutates_its_input_rows(system):
+    rows, ncols = system
+    before = copy.deepcopy(rows)
+    reduced = rref(rows)
+    rank(rows)
+    nullspace(rows, ncols)
+    solve_affine(rows, ncols - 1)
+    SolutionSpace(VarRegistry(), rows).reduce(rows[0] if rows else {})
+    assert rows == before
+    # nor hands them back: changing the answer leaves the input alone
+    for row in reduced:
+        row.clear()
+    assert rows == before
 
 
 def test_rref_skips_a_column_that_cancelled_out_of_an_indexed_pivot_row():
