@@ -312,21 +312,29 @@ def solve_biderivations(
 
     system = LinearSystem(len(registry))
     mul = plain_constants(product)
-    admit = lru_cache(maxsize=None)(
-        lambda ia, ib, nc: admission((ia, ib, 0) if nc else (ia, ib), out_bound)
-    )
+    known = set(domain).union(CENTRAL_KEYS)  # the keys of every right[z] and left[x]
+
+    @lru_cache(maxsize=None)
+    def rule(a, b):
+        """The admission predicate of the Leibniz rows at (a, b), or None
+        when a*b leaves the window and the instance is dropped.  Both
+        depend only on (a, b), whichever argument is held fixed."""
+        prod = mul(a, b)
+        if not all(k in known for k, _ in prod):
+            return None
+        noncentral = any(not k.is_central for k, _ in prod)
+        return admission((a.index, b.index, 0) if noncentral else (a.index, b.index), out_bound)
 
     def leibniz(a, b, d):
         """Rows of the Leibniz rule at (a, b) for ``d``, a dict from each
-        window key to its linear form.  The instance is dropped when a*b
-        leaves the window.  A row at w is fed by d(b) at w - index(a), by
-        d(a) at w - index(b) and, when a*b has a noncentral term, by
-        d(a*b) at w itself.
+        window key to its linear form.  A row at w is fed by d(b) at
+        w - index(a), by d(a) at w - index(b) and, when a*b has a
+        noncentral term, by d(a*b) at w itself.
         """
-        prod = mul(a, b)
-        if all(k in d for k, _ in prod):
+        admit = rule(a, b)
+        if admit is not None:
             system.add_parts(leibniz_parts(mul, d.__getitem__, a, b))
-            system.flush(admit(a.index, b.index, any(not k.is_central for k, _ in prod)))
+            system.flush(admit)
 
     # The first-slot identity at (x, y, z) is the Leibniz rule of f(., z)
     # at (x, y), the second-slot one that of f(x, .) at (y, z).  On an
