@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import ONE, Scalar, accumulate
+from .scalars import ONE, Scalar, accumulate, gaussian_integers
 
 
 class VarRegistry:
@@ -99,35 +99,6 @@ def _gaussian(re: int, im: int):
     return _Gaussian(re, im) if im else re
 
 
-def _integral(row: dict):
-    """``row`` as a new dict of Gaussian integers, scaled by the lcm of its
-    denominators, and whether any entry was a Scalar."""
-    den = 1
-    ints, scalar = True, False
-    for v in row.values():
-        if type(v) is Fraction:
-            ints = False
-            den = lcm(den, v.denominator)
-        elif type(v) is Scalar:
-            ints = False
-            scalar = True
-            den = lcm(den, v.re.denominator, v.im.denominator)
-    if ints:
-        return dict(row), False
-    out = {}
-    for c, v in row.items():
-        if type(v) is Scalar:
-            re, im = v.re, v.im
-            out[c] = _gaussian(
-                re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-            )
-        elif type(v) is Fraction:
-            out[c] = v.numerator * (den // v.denominator)
-        else:
-            out[c] = v * den
-    return out, scalar
-
-
 def _eliminate(row: dict, col: int, lead, rest: dict) -> int:
     """Clear ``row[col]`` in place with the pivot row ``lead`` at col plus
     ``rest``: row = s*row - (row[col]/g)*rest, where g = gcd(lead, row[col])
@@ -197,8 +168,11 @@ def rref(rows) -> list:
     holders = {}
     scalar = False
     for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
-        row, has_scalar = _integral(row)
-        scalar = scalar or has_scalar
+        if all(type(v) is int for v in row.values()):
+            row = dict(row)
+        else:
+            scalar = scalar or any(type(v) is Scalar for v in row.values())
+            row = {c: _gaussian(re, im) for c, re, im in gaussian_integers(row.items())[1]}
         row = _reduce(row, pivots)
         if not row:
             continue
@@ -228,17 +202,13 @@ def rref(rows) -> list:
 
 def _leading_one(col: int, lead: int, rest: dict, scalar: bool) -> dict:
     """The pivot row divided by its lead, as Scalars when ``scalar``."""
-    if scalar:
-        out = {col: ONE}
-        for c, v in rest.items():
-            if type(v) is int:
-                out[c] = Scalar(Fraction(v, lead))
-            else:
-                out[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
-        return out
-    out = {col: 1}
+    out = {col: ONE if scalar else 1}
     for c, v in rest.items():
-        out[c] = v if lead == 1 else Fraction(v, lead)
+        if type(v) is _Gaussian:
+            out[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
+        else:
+            v = v if lead == 1 else Fraction(v, lead)
+            out[c] = Scalar(v) if scalar else v
     return out
 
 
