@@ -99,13 +99,13 @@ def _gaussian(re: int, im: int):
     return _Gaussian(re, im) if im else re
 
 
-def _eliminate(row: dict, col: int, lead, rest: dict) -> int:
-    """Clear ``row[col]`` in place with the pivot row ``lead`` at col plus
-    ``rest``: row = s*row - (row[col]/g)*rest, where g = gcd(lead, row[col])
-    over the integers and s = lead/g.  Returns s.  With lead 1 this is
-    row - row[col]*rest, in whatever numbers the rows hold."""
-    f = row.pop(col)
-    s = 1
+def _eliminate(row: dict, col: int, pivot: dict) -> None:
+    """Clear ``row[col]`` in place with ``pivot``, whose entry at col is its
+    lead: row = s*row - (row[col]/g)*pivot, where g = gcd(lead, row[col])
+    over the integers and s = lead/g.  With lead 1 this is
+    row - row[col]*pivot, in whatever numbers the rows hold."""
+    f = row[col]
+    lead = pivot[col]
     if lead != 1:
         g = gcd(lead, f) if type(f) is int else gcd(lead, f.re, f.im)
         s = lead // g
@@ -113,36 +113,32 @@ def _eliminate(row: dict, col: int, lead, rest: dict) -> int:
         if s != 1:
             for c, v in row.items():
                 row[c] = s * v
-    if rest:
-        accumulate(row, rest, -f)
-    return s
+    accumulate(row, pivot, -f)
 
 
 def _reduce(row: dict, pivots: dict) -> dict:
     """Eliminate every pivot column from ``row``, in place.
 
-    ``pivots`` maps a column to its pivot row as ``(lead, rest)``.  Pivot
-    rows hold, besides their pivot, only free columns, so one pass in
-    increasing column order terminates.
+    Pivot rows hold, besides their pivot, only free columns, so one pass
+    in increasing column order terminates.
     """
     for col in sorted(row):
         pivot = pivots.get(col)
         if pivot is not None and col in row:
-            _eliminate(row, col, *pivot)
+            _eliminate(row, col, pivot)
     return row
 
 
-def _primitive(lead: int, rest: dict) -> int:
-    """Divide the pivot row ``lead`` plus ``rest`` (lead a positive int) by
-    the gcd of all its integer parts, in place; returns the new lead."""
-    g = lead
-    for v in rest.values():
+def _primitive(row: dict) -> None:
+    """Divide ``row``, a pivot row with a positive int lead, by the gcd of
+    all its integer parts, in place."""
+    g = 0
+    for v in row.values():
         g = gcd(g, v) if type(v) is int else gcd(g, v.re, v.im)
         if g == 1:
-            return lead
-    for c, v in rest.items():
-        rest[c] = v // g
-    return lead // g
+            return
+    for c, v in row.items():
+        row[c] = v // g
 
 
 def rref(rows) -> list:
@@ -177,39 +173,39 @@ def rref(rows) -> list:
         if not row:
             continue
         col = min(row)
-        lead = row.pop(col)
+        lead = row[col]
         if type(lead) is _Gaussian:
             conj = _Gaussian(lead.re, -lead.im)
             for c, v in row.items():
                 row[c] = conj * v
-            lead = lead.re * lead.re + lead.im * lead.im
         elif lead < 0:
-            lead = -lead
             for c, v in row.items():
                 row[c] = -v
-        lead = _primitive(lead, row)
-        touched = [p for p in holders.pop(col, ()) if col in pivots[p][1]]
+        _primitive(row)
+        touched = [p for p in holders.pop(col, ()) if col in pivots[p]]
         for p in touched:
-            plead, prest = pivots[p]
-            plead *= _eliminate(prest, col, lead, row)
-            pivots[p] = _primitive(plead, prest), prest
+            _eliminate(pivots[p], col, row)
+            _primitive(pivots[p])
         touched.append(col)
         for c in row:
-            holders.setdefault(c, set()).update(touched)
-        pivots[col] = lead, row
-    return [_leading_one(col, *pivots[col], scalar) for col in sorted(pivots)]
+            if c != col:
+                holders.setdefault(c, set()).update(touched)
+        pivots[col] = row
+    return [_leading_one(col, pivots[col], scalar) for col in sorted(pivots)]
 
 
-def _leading_one(col: int, lead: int, rest: dict, scalar: bool) -> dict:
-    """The pivot row divided by its lead, as Scalars when ``scalar``."""
-    out = {col: ONE if scalar else 1}
-    for c, v in rest.items():
+def _leading_one(col: int, row: dict, scalar: bool) -> dict:
+    """The pivot row at ``col`` divided by its lead, as Scalars when
+    ``scalar``: made in place, so no pivot row is held twice."""
+    lead = row[col]
+    for c, v in row.items():
         if type(v) is _Gaussian:
-            out[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
+            row[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
         else:
             v = v if lead == 1 else Fraction(v, lead)
-            out[c] = Scalar(v) if scalar else v
-    return out
+            row[c] = Scalar(v) if scalar else v
+    row[col] = ONE if scalar else 1
+    return row
 
 
 def rank(rows) -> int:
@@ -355,10 +351,7 @@ class SolutionSpace:
 
     def _pivot_rows(self):
         if self._pivots is None:
-            self._pivots = {}
-            for row in self.basis:
-                lead = min(row)
-                self._pivots[lead] = 1, {c: v for c, v in row.items() if c != lead}
+            self._pivots = {min(row): row for row in self.basis}
         return self._pivots
 
     def reduce(self, vector: dict) -> dict:
