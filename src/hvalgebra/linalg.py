@@ -255,12 +255,12 @@ class LinearSystem:
     row per output coordinate), then ``flush`` turns those coordinates
     into rows.  Terms are ``scalars.plain`` numbers, so real rows are
     built in int and Fraction arithmetic and reduced in ints; the
-    solutions come back as Scalars.  A row is kept when it is nonzero and the solver's
-    ``admit(coord)`` holds (no predicate admits all), except a
-    single-entry row whose column is already pinned.  A kept row with one
-    entry pins its column to zero: ``add`` drops every later term in a
-    pinned column, so a later row may shrink to one entry and pin its own
-    column, or to nothing and not be kept.  Each kept row differs from
+    solutions come back as Scalars.  A row is kept when it is nonzero
+    and the solver's ``admit(coord)`` holds (no predicate admits all),
+    except a single-entry row whose column is already pinned.  A kept
+    row with one entry pins its column to zero: ``add`` drops every later
+    term in a pinned column, so a later row may shrink to one entry and
+    pin its own column, or to nothing and not be kept.  Each kept row differs from
     the one the solver built by multiples of rows kept before, so the row
     span, and with it every canonical answer, is that of the built rows.
     """
