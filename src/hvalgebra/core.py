@@ -268,10 +268,11 @@ _LIE_TABLE = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def bracket_keys(has_central: bool, a: BasisKey, b: BasisKey) -> Element:
     """Bracket of two basis symbols: the full bracket when ``has_central``,
-    else the centerless quotient.  Called only by ``LieProduct``."""
+    else the centerless quotient.  Called only by ``LieProduct``.  The
+    cache is bounded, so a long-lived process does not grow it forever."""
     return table_keys(_LIE_TABLE, has_central, a, b)
 
 

@@ -400,20 +400,19 @@ class SpanComparison(
 
 
 def span_equal(a: SolutionSpace, b: SolutionSpace) -> SpanComparison:
-    """Exact span equality, decided by rank(a) = rank(b) = rank(a | b).
+    """Exact span equality: both bases are canonical RREF, so the spans
+    are equal exactly when the bases are.
 
     On failure the witness is a basis vector of one space that is not in
     the other's span (side "left" means it came from ``a``).
     """
     if a.registry is not b.registry:
         raise IncompatibleSpaces("spaces use different variable registries")
-    union_rank = rank(list(a.basis) + list(b.basis))
-    if a.dimension == b.dimension == union_rank:
+    if a.basis == b.basis:
         return SpanComparison(True)
     for row in a.basis:
         if not b.contains(row):
             return SpanComparison(False, row, "left")
-    for row in b.basis:
-        if not a.contains(row):
-            return SpanComparison(False, row, "right")
-    return SpanComparison(True)
+    # the bases differ and a lies in b's span, so b holds a row outside a's
+    row = next(row for row in b.basis if not a.contains(row))
+    return SpanComparison(False, row, "right")

@@ -8,14 +8,6 @@ A checker's residuals (the left-symmetric associator included) sum
 ``gaussian_integers`` values; only a nonzero coordinate becomes a Scalar.
 Every operation is exact, so downstream zero tests are decisive; no
 module in this package owns a tolerance.
-
-Almost every structure constant is real, so the ring operations skip the
-Fraction products and sums whose imaginary factor is zero: a product with
-a real factor costs two Fraction products (one when both are real), not
-four plus two sums, and a sum with a real term reuses the other term's
-imaginary part.  The fast paths build no zero imaginary part: they reuse
-``_REAL`` or an operand's.  Both parts are always Fractions, so equality,
-hashing and text do not depend on which path made a value.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-_REAL = Fraction(0)  # the shared imaginary part of real results
+_REAL = Fraction(0)  # the default imaginary part, shared
 
 
 class Scalar:
@@ -65,12 +57,7 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        re = self.re + other.re
-        if not other.im:
-            return Scalar(re, self.im)
-        if not self.im:
-            return Scalar(re, other.im)
-        return Scalar(re, self.im + other.im)
+        return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -89,8 +76,6 @@ class Scalar:
         return Scalar(other.re - self.re, other.im - self.im)
 
     def __neg__(self):
-        if not self.im:
-            return Scalar(-self.re, _REAL)
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
@@ -99,20 +84,14 @@ class Scalar:
         except TypeError:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            return Scalar(a * c, a * d if d else _REAL)
-        if not d:
-            return Scalar(a * c, b * c)
         return Scalar(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        if not self.im:
-            if not self.re:
-                raise ZeroDivisionError("scalar inverse of zero")
-            return Scalar(1 / self.re, _REAL)
         d = self.re * self.re + self.im * self.im
+        if not d:
+            raise ZeroDivisionError("scalar inverse of zero")
         return Scalar(self.re / d, -self.im / d)
 
     def __truediv__(self, other):
@@ -142,24 +121,22 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, as complex does, so that
+        # Scalar(x) and the int or Fraction x it equals share a hash
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- text -----------------------------------------------------------
 
     def __str__(self):
         if not self.im:
-            return _frac_text(self.re)
+            return str(self.re)
         if not self.re:
             return _imag_text(self.im)
         sign = "+" if self.im > 0 else "-"
-        return f"{_frac_text(self.re)}{sign}{_imag_text(abs(self.im))}"
+        return f"{self.re}{sign}{_imag_text(abs(self.im))}"
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
-
-
-def _frac_text(value: Fraction) -> str:
-    return str(value)
 
 
 def _imag_text(value: Fraction) -> str:
@@ -173,18 +150,17 @@ def _imag_text(value: Fraction) -> str:
 def coefficient_text(value: Scalar):
     """Render a coefficient for use inside a term ``coef*key``.
 
-    Returns (negate, text): ``negate`` pulls a leading minus out of the
-    term, ``text`` is the magnitude (None when the magnitude is one and
-    the factor should be omitted entirely).  Mixed complex coefficients
-    are parenthesized and never split.
+    Returns (negate, text), read off ``str(value)``: ``negate`` pulls a
+    leading minus out of the term, ``text`` is the magnitude (None when
+    the magnitude is one and the factor should be omitted entirely).  A
+    text with a sign after its first character is a mixed complex
+    coefficient, which is parenthesized and never split.
     """
-    if not value.im:
-        mag = abs(value.re)
-        return value.re < 0, None if mag == 1 else _frac_text(mag)
-    if not value.re:
-        mag = abs(value.im)
-        return value.im < 0, "i" if mag == 1 else f"{_frac_text(mag)}i"
-    return False, f"({value})"
+    text = str(value)
+    mag = text.removeprefix("-")
+    if "+" in mag or "-" in mag:
+        return False, f"({text})"
+    return mag != text, None if mag == "1" else mag
 
 
 def plain(value):

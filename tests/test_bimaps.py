@@ -31,7 +31,7 @@ from hvalgebra.core import (
     LieProduct,
 )
 from hvalgebra.errors import DomainNotCovered, InfeasibleWindow
-from hvalgebra.leftsym import LeftSymProduct
+from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linalg import LinearSystem, SolutionSpace, rank, span_equal
 from hvalgebra.linmaps import Window
 from hvalgebra.scalars import Scalar
@@ -222,6 +222,12 @@ def test_central_annihilation():
     report = central_annihilation(bad, LIE_HV, Window(1))
     assert not report.passed
     assert report.counterexamples[0].inputs == (L(0), C1)
+
+
+def test_central_annihilation_refuses_a_left_symmetric_product():
+    product = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)))
+    with pytest.raises(ValueError, match="defined for the Lie products"):
+        central_annihilation(Inner(Scalar(1)), product, Window(1))
 
 
 def test_central_annihilation_counts_each_slot():

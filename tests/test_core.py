@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hvalgebra
+from math import isqrt
+
 from hvalgebra.core import (
     BasisKey,
     C1,
@@ -19,6 +21,7 @@ from hvalgebra.core import (
     Element,
     I,
     L,
+    bracket_keys,
 )
 from hvalgebra.errors import IndexOverflow
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
@@ -171,6 +174,20 @@ def test_index_overflow_guard():
         HV.mul_keys(L(big + 1), L(big))
     with pytest.raises(IndexOverflow):
         L(2**63)
+
+
+def test_bracket_keys_cache_is_bounded():
+    maxsize = bracket_keys.cache_info().maxsize
+    assert maxsize is not None
+    # the last window has more key pairs than the cache holds
+    for n_max in (2, 8, isqrt(maxsize) // 4 + 1):
+        keys = HV.window_keys(n_max)
+        for a in keys:
+            for b in keys:
+                HV.mul_keys(a, b)
+        assert bracket_keys.cache_info().currsize <= maxsize
+    assert len(keys) ** 2 > maxsize
+    assert bracket_keys.cache_info().currsize == maxsize
 
 
 def test_basis_key_contract():

@@ -18,6 +18,7 @@ from hvalgebra.leftsym import (
     subadjacent_residual,
 )
 from hvalgebra.linmaps import Counterexample, TabularMap, Window, is_derivation
+from hvalgebra.render import render_strata_report
 from hvalgebra.scalars import Scalar
 
 EPS = Scalar(1, 1)
@@ -150,6 +151,14 @@ def test_commutator_matches_bracket_outside_two_central_strata():
     # so on the quotient the commutator is exactly the quotient bracket
     quotient = LeftSymProduct(TWISTED, quotient=True)
     assert not any(r for _, r in subadjacent_residual(quotient, Window(3)))
+
+
+def test_strata_report_names_a_noncentral_residual():
+    residuals = subadjacent_residual(_Perturbed(PLAIN), Window(2))
+    lines = render_strata_report(residuals).splitlines()
+    assert lines[:2] == ["pairs checked: 169", "pairs with nonzero residual: 14"]
+    assert "  (L(1), L(-2)): noncentral (-1+3i)*L(-1)" in lines
+    assert "  (L(-2), L(1)): noncentral (1-3i)*L(-1)" in lines
 
 
 def _grading_map(n_max):

@@ -25,6 +25,7 @@ from hvalgebra.linmaps import (
     Counterexample,
     Decomposition,
     InnerAd,
+    OuterDerivation,
     ScalarId,
     ScaledMap,
     SumMap,
@@ -110,6 +111,11 @@ def test_outer_derivation_values():
     assert D3.apply_key(L(0)).is_zero()
     for d in (D1, D2, D3):
         assert d.apply_key(C1).is_zero()
+
+
+def test_only_three_outer_derivations_exist():
+    with pytest.raises(ValueError, match="d1, d2 and d3"):
+        OuterDerivation("d4")
 
 
 def test_outer_maps_are_quotient_derivations():

@@ -106,6 +106,12 @@ def test_error_positions():
         parse_scalar("1/0")
 
 
+def test_a_hash_ends_the_input():
+    assert parse_element("2*L(1) # note") == parse_element("2*L(1)")
+    assert parse_element("L(1) #") == Element.basis(L(1))
+    assert _eval("[L(1), I(2)] # + $") == _eval("[L(1), I(2)]")
+
+
 def test_expression_depth_is_bounded():
     # an n-term 'o' chain is n - 1 products over a sum, a scaled term and
     # a basis symbol; each bracket adds a sum, a scaled term and itself

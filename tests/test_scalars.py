@@ -119,10 +119,16 @@ def test_conjugation_is_involutive(a):
     assert (a * a.conjugate()).is_real()
 
 
-@given(scalars, scalars)
-def test_hash_consistent_with_equality(a, b):
+@given(scalars, scalars, rationals)
+def test_hash_consistent_with_equality(a, b, x):
     if a == b:
         assert hash(a) == hash(b)
+    # a real Scalar equals, and so hashes as, the int or Fraction it holds
+    for number in (x, x.numerator):
+        assert Scalar(number) == number and hash(Scalar(number)) == hash(number)
+    assert len({1, Scalar(1)}) == 1
+    assert Scalar(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert {Scalar(2): "x"}.get(2) == "x"
 
 
 @pytest.mark.parametrize("a, b, c", [(L(1), I(-2), L(0)), (0, 1, 2)])
