@@ -12,8 +12,8 @@ more digest covers every degree slice and the ungraded solve of three
 products on two small windows, so a change to row admission shows at
 any degree.  Per-product digests pin every structure constant of the
 two Lie products and of the left-symmetric family on a window, one
-covers the reference spans the solves are compared with, and one pins
-the rows three solves hand to elimination, in order.
+covers the reference spans the solves are compared with, and two pin
+the rows five solves hand to elimination, in order.
 """
 
 import hashlib
@@ -32,7 +32,8 @@ from hvalgebra.commuting import generator_span, solve_commuting
 from hvalgebra.core import LIE_HV, LIE_W00
 from hvalgebra.errors import InfeasibleWindow
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct, _Commutator
-from hvalgebra.linmaps import Window
+from hvalgebra.linmaps import Window, decompose_derivation
+from hvalgebra.parsing import parse_linear_map_file
 from hvalgebra.render import render_solution_space
 from hvalgebra.scalars import Scalar
 
@@ -267,6 +268,13 @@ ROW_SOLVES = [
 ]
 
 
+def _record_rows(digest, rows, ncols):
+    digest.update(f"ncols={ncols} rows={len(rows)}\n".encode("utf-8"))
+    for row in rows:
+        line = " ".join(f"{c}:{type(v).__name__}:{v}" for c, v in row.items())
+        digest.update(f"{line}\n".encode("utf-8"))
+
+
 def test_elimination_rows_digest(monkeypatch):
     """The rows each solve hands to elimination, in order, entry by entry
     with each entry's type: assembly must build the same rows however the
@@ -275,10 +283,7 @@ def test_elimination_rows_digest(monkeypatch):
     original = linalg.nullspace
 
     def record(rows, ncols):
-        digest.update(f"ncols={ncols} rows={len(rows)}\n".encode("utf-8"))
-        for row in rows:
-            line = " ".join(f"{c}:{type(v).__name__}:{v}" for c, v in row.items())
-            digest.update(f"{line}\n".encode("utf-8"))
+        _record_rows(digest, rows, ncols)
         return original(rows, ncols)
 
     monkeypatch.setattr(linalg, "nullspace", record)
@@ -287,6 +292,39 @@ def test_elimination_rows_digest(monkeypatch):
         solve()
     assert digest.hexdigest() == (
         "88d6de00294b4c03cd8aa999784bbb0d5a6e848ac61d28d1d266a511e3a744d0"
+    )
+
+
+DECOMPOSED_MAP = "@inner 2*L(1) - I(2) + 1/2*L(-1)\n@d1 3\n@d2 -1/2\n@d3 i\n"
+
+
+def test_commuting_and_decomposition_rows_digest(monkeypatch):
+    """The rows ``solve_commuting`` hands to ``nullspace`` and the rows
+    ``decompose_derivation`` hands to ``solve_affine``, entry by entry with
+    each entry's type, as ``test_elimination_rows_digest`` pins the
+    biderivation rows."""
+    digest = hashlib.sha256()
+    nullspace, solve_affine = linalg.nullspace, linalg.solve_affine
+
+    def record_nullspace(rows, ncols):
+        _record_rows(digest, rows, ncols)
+        return nullspace(rows, ncols)
+
+    def record_solve_affine(rows, nvars):
+        _record_rows(digest, rows, nvars)
+        return solve_affine(rows, nvars)
+
+    monkeypatch.setattr(linalg, "nullspace", record_nullspace)
+    monkeypatch.setattr(linalg, "solve_affine", record_solve_affine)
+    digest.update(b"commuting W3\n")
+    solve_commuting(Window(3))
+    digest.update(b"decompose W4\n")
+    d = parse_linear_map_file(DECOMPOSED_MAP, LIE_W00)
+    assert str(decompose_derivation(d, Window(4))) == (
+        "ad(1/2*L(-1) + 2*L(1) - I(2)) + (3)*d1 + (-1/2)*d2 + (i)*d3"
+    )
+    assert digest.hexdigest() == (
+        "62301a776499137846ba8ec7bdae5597712049f7418d03055ced6bd35d026d7d"
     )
 
 
