@@ -29,7 +29,6 @@ from .core import (
     LieProduct,
     Product,
     bilinear_extension,
-    plain_constants,
     CENTRAL_KEYS,
 )
 from .errors import DomainNotCovered
@@ -42,6 +41,7 @@ from .linmaps import (
     gaussian_sum,
     leibniz_parts,
     leibniz_residual,
+    plain_values,
     scaled_values,
     symmetry_parts,
 )
@@ -302,16 +302,16 @@ def solve_biderivations(
     out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(product, s, out_bound, degree))
     # f(p, q) as a linear form in its unknowns; a central argument reads 0
     forms = {
-        (p, q): [((u, registry.add(("f", p, q, u))), 1) for u in out_keys(p.index + q.index)]
+        (p, q): {u: registry.add(("f", p, q, u)) for u in out_keys(p.index + q.index)}
         for p in domain
         for q in domain
     }
-    zero = dict.fromkeys(CENTRAL_KEYS, ())
+    zero = dict.fromkeys(CENTRAL_KEYS, {})
     right = {z: {k: forms[k, z] for k in domain} | zero for z in domain}
     left = {x: {k: forms[x, k] for k in domain} | zero for x in domain}
 
     system = LinearSystem(len(registry))
-    mul = plain_constants(product)
+    mul = plain_values(product.mul_keys)
     known = set(domain).union(CENTRAL_KEYS)  # the keys of every right[z] and left[x]
 
     @lru_cache(maxsize=None)
@@ -383,7 +383,6 @@ def interior_projection(space: SolutionSpace, n_int: int) -> SolutionSpace:
         )
 
     out = space.restrict(keep)
-    out.meta = dict(space.meta)
     out.meta["interior"] = n_int
     return out
 

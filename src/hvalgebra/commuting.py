@@ -9,7 +9,7 @@ span on a window.
 
 from __future__ import annotations
 
-from .core import LIE_HV, plain_constants
+from .core import LIE_HV
 from .linalg import LinearSystem, SolutionSpace, VarRegistry, reference_span
 from .linmaps import (
     CentralMap,
@@ -21,6 +21,7 @@ from .linmaps import (
     admission,
     collect_report,
     gaussian_sum,
+    plain_values,
     scaled_values,
 )
 
@@ -68,8 +69,8 @@ def solve_commuting(window: Window) -> SolutionSpace:
     domain = LIE_HV.window_keys(n_max)
     out_keys = LIE_HV.window_keys(out_bound)
     registry = VarRegistry()
-    phi = {b: [((u, registry.add(("phi", b, u))), 1) for u in out_keys] for b in domain}
-    mul = plain_constants(LIE_HV)
+    phi = {b: {u: registry.add(("phi", b, u)) for u in out_keys} for b in domain}
+    mul = plain_values(LIE_HV.mul_keys)
     system = LinearSystem(len(registry))
 
     for i, a in enumerate(domain):

@@ -15,7 +15,8 @@ bracket and ``LIE_W00`` the quotient by the span of C1, C2, C3, the same
 brackets with every C-term dropped (its elements must not touch the
 central symbols at all).  Every product, Lie or left-symmetric, is a
 ``Product``: ``mul_keys`` on basis symbols, ``mul`` on elements, and
-``window_keys`` for the basis symbols of an index window.
+``window_keys`` for the basis symbols of an index window.  Elements hold
+Scalars; a solve reads ``mul_keys`` through ``linmaps.plain_values``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IndexOverflow
-from .scalars import Scalar, accumulate, coefficient_text, plain
+from .scalars import Scalar, accumulate, coefficient_text
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
@@ -318,17 +319,6 @@ class Product:
 
     def __str__(self):
         return self.name
-
-
-def plain_constants(product: Product):
-    """``product.mul_keys`` as ``(key, scalars.plain number)`` pairs in key
-    order for a solver, each pair read once by a cache that dies with it."""
-
-    @lru_cache(maxsize=None)
-    def constants(a: BasisKey, b: BasisKey) -> tuple:
-        return tuple((k, plain(v)) for k, v in product.mul_keys(a, b).items())
-
-    return constants
 
 
 class LieProduct(Product):

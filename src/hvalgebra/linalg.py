@@ -1,20 +1,21 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
-Vectors and matrix rows are dicts mapping dense variable ids to nonzero
-ints, Fractions or Scalars, in any mix.  ``rref``, the one elimination
-routine, is fraction-free: it scales each row to Gaussian integers as it
-takes it (ints where real) and keeps every pivot row primitive with a
-positive integer lead, so elimination multiplies and adds integers.  Its
-answer is the canonical form (RREF with leading ones and pivots in
-increasing variable order), so two computations of the same span produce
-identical representations and every report built on top is byte-stable.
-Only that answer divides by the leads: it comes back in ints and
-Fractions, or in Scalars when any entry given was a Scalar, and
-``nullspace`` and ``solve_affine`` always answer in Scalars.  As the
-form is unique, ``rref`` picks its order of work: rows by decreasing
-lead column, with an index of the pivot rows holding each column.
-A solver's rows come from ``LinearSystem.add_parts``, the only row
-builder, which leaves out columns pinned to zero.
+The one number rule of the solve path: rows (dicts from dense variable
+ids to nonzero numbers), linear forms, the answers of ``rref``,
+``nullspace`` and ``solve_affine`` and ``SolutionSpace`` bases hold plain
+numbers, an int or a Fraction where real and a Scalar only where not.
+Only the algebra layer (``Element``, ``linmaps.Decomposition``) makes
+Scalars.  ``rref``, the one elimination routine, is fraction-free: it
+scales each row to Gaussian integers as it takes it (ints where real)
+and keeps every pivot row primitive with a positive integer lead, so
+elimination multiplies and adds integers.  Its answer is the canonical
+form (RREF with leading ones and pivots in increasing variable order),
+so two computations of the same span produce identical representations
+and every report built on top is byte-stable.  Only that answer divides
+by the leads.  As the form is unique, ``rref`` picks its order of work:
+rows by decreasing lead column, with an index of the pivot rows holding
+each column.  A solver's rows come from ``LinearSystem.add_parts``, the
+only row builder, which leaves out columns pinned to zero.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
-from .scalars import ONE, Scalar, accumulate, gaussian_integers
+from .scalars import Scalar, accumulate, gaussian_integers
 
 
 class VarRegistry:
@@ -157,17 +158,14 @@ def rref(rows) -> list:
     out first.  A pivot row is kept primitive with a positive integer
     lead: a non-real lead is made real by multiplying the row with its
     conjugate.  Only the answer divides by the lead, so the rows come back
-    with leading ones, as ints and Fractions, or all as Scalars when any
-    input entry was a Scalar.  The input rows are never mutated.
+    with leading ones, in plain numbers.  The input rows are never mutated.
     """
     pivots = {}
     holders = {}
-    scalar = False
     for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
         if all(type(v) is int for v in row.values()):
             row = dict(row)
         else:
-            scalar = scalar or any(type(v) is Scalar for v in row.values())
             row = {c: _gaussian(re, im) for c, re, im in gaussian_integers(row.items())[1]}
         row = _reduce(row, pivots)
         if not row:
@@ -191,32 +189,27 @@ def rref(rows) -> list:
             if c != col:
                 holders.setdefault(c, set()).update(touched)
         pivots[col] = row
-    return [_leading_one(col, pivots[col], scalar) for col in sorted(pivots)]
+    return [_leading_one(col, pivots[col]) for col in sorted(pivots)]
 
 
-def _leading_one(col: int, row: dict, scalar: bool) -> dict:
-    """The pivot row at ``col`` divided by its lead, as Scalars when
-    ``scalar``: made in place, so no pivot row is held twice."""
+def _leading_one(col: int, row: dict) -> dict:
+    """The pivot row at ``col`` divided by its lead, in plain numbers: made
+    in place, so no pivot row is held twice."""
     lead = row[col]
     for c, v in row.items():
         if type(v) is _Gaussian:
             row[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
-        else:
-            v = v if lead == 1 else Fraction(v, lead)
-            row[c] = Scalar(v) if scalar else v
-    row[col] = ONE if scalar else 1
+        elif lead != 1:
+            row[c] = Fraction(v, lead)
+    row[col] = 1
     return row
-
-
-def rank(rows) -> int:
-    return len(rref(rows))
 
 
 def nullspace(rows, ncols: int) -> list:
     """Canonical basis of the solution set of ``rows * v = 0``.
 
     The standard free-variable basis is re-canonicalized with rref so the
-    returned Scalar vectors have leading ones at increasing variable ids.
+    returned vectors have leading ones at increasing variable ids.
     """
     reduced = rref(rows)
     vectors = {free: {free: 1} for free in range(ncols)}
@@ -226,7 +219,7 @@ def nullspace(rows, ncols: int) -> list:
         for free, coeff in prow.items():
             if free != pcol:
                 vectors[free][pcol] = -coeff
-    return [{c: Scalar.coerce(v) for c, v in vec.items()} for vec in rref(vectors.values())]
+    return rref(vectors.values())
 
 
 def solve_affine(rows, nvars: int):
@@ -234,8 +227,8 @@ def solve_affine(rows, nvars: int):
 
     Each row holds its constant term in column ``nvars`` and states
     sum(row[c] * x[c]) + row[nvars] = 0.  Returns the particular solution
-    with all free variables set to zero, as Scalars, or None when the
-    system is inconsistent.
+    with all free variables set to zero, or None when the system is
+    inconsistent.
     """
     solution = {}
     for row in rref(rows):
@@ -245,7 +238,7 @@ def solve_affine(rows, nvars: int):
         c = row.get(nvars)
         if c is not None:
             solution[lead] = -c
-    return {c: Scalar.coerce(v) for c, v in solution.items()}
+    return solution
 
 
 class LinearSystem:
@@ -253,9 +246,9 @@ class LinearSystem:
 
     Each identity instance adds its terms with ``add_parts`` (one sparse
     row per output coordinate), then ``flush`` turns those coordinates
-    into rows.  Terms are ``scalars.plain`` numbers, so real rows are
-    built in int and Fraction arithmetic and reduced in ints; the
-    solutions come back as Scalars.  A row is kept when it is nonzero
+    into rows.  Terms are plain numbers, so real rows are built in int
+    and Fraction arithmetic and reduced in ints, and the solutions come
+    back in plain numbers too.  A row is kept when it is nonzero
     and the solver's ``admit(coord)`` holds (no predicate admits all),
     except a single-entry row whose column is already pinned.  A kept
     row with one entry pins its column to zero: ``add`` drops every later
@@ -289,28 +282,28 @@ class LinearSystem:
     def add_parts(self, parts) -> None:
         """Add the negated sum of ``(sign, value, read)`` parts, sign 1 or
         -1, the shape ``linmaps.gaussian_sum`` sums.  One factor of each
-        term is a linear form, ``((key, col), c)`` pairs: either ``value``
-        is a form and ``read(key)`` gives ``(coord, number)`` pairs, or
-        ``value`` holds ``(key, number)`` pairs and ``read(key)`` gives a
-        form.  A pinned column is skipped before its numbers are read, and
-        a number is negated only for a term that is added."""
+        term is a linear form, a dict ``{key: col}`` whose unknowns all
+        have coefficient one: either ``value`` is a form and ``read(key)``
+        gives ``(coord, number)`` pairs, or ``value`` holds ``(key,
+        number)`` pairs and ``read(key)`` gives a form keyed by coord.  A
+        pinned column is skipped before its numbers are read, and a number
+        is negated only for a term that is added."""
         add = self.add
         pinned = self._pinned
         for sign, value, read in parts:
-            for key, c in value:
-                if type(key) is tuple:  # a form's (key, col); not a BasisKey
-                    key, col = key
+            if type(value) is dict:
+                for key, col in value.items():
                     if col not in pinned:
-                        c = -sign * c
                         for coord, v in read(key):
-                            add(coord, col, v if c == 1 else c * v)
-                    continue
+                            add(coord, col, -v if sign > 0 else v)
+                continue
+            for key, c in value:
                 neg = None
-                for (coord, col), fc in read(key):
+                for coord, col in read(key).items():
                     if col not in pinned:
                         if neg is None:
                             neg = -c if sign > 0 else c
-                        add(coord, col, neg if fc == 1 else neg * fc)
+                        add(coord, col, neg)
 
     def flush(self, admit=None) -> None:
         for coord, row in self._coords.items():
@@ -337,7 +330,8 @@ class LinearSystem:
 
 
 class SolutionSpace:
-    """Canonical (RREF) basis of a solved linear space, tied to a registry."""
+    """Canonical (RREF) basis, in plain numbers, of a solved linear space,
+    tied to a registry."""
 
     def __init__(self, registry: VarRegistry, vectors, meta=None, canonical=False):
         self.registry = registry

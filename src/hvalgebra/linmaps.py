@@ -29,7 +29,6 @@ from .core import (
     LieProduct,
     Product,
     linear_extension,
-    plain_constants,
 )
 from .errors import DomainNotCovered, NotCentral
 from .linalg import LinearSystem
@@ -158,6 +157,13 @@ def scaled_values(read):
     return lru_cache(maxsize=None)(lambda *keys: gaussian_integers(read(*keys).items()))
 
 
+def plain_values(read):
+    """``read``, as for ``scaled_values``, as a cache of ``(key,
+    scalars.plain number)`` pairs in key order: the one way a solve reads
+    a value, so its rows hold no Scalar where a value is real."""
+    return lru_cache(maxsize=None)(lambda *k: tuple((u, plain(v)) for u, v in read(*k).items()))
+
+
 def scaled_basis(key) -> tuple:
     """The basis element of ``key`` as a scaled value: the read that sums a
     part's value as it stands."""
@@ -212,8 +218,9 @@ def leibniz_parts(mul, d, a: BasisKey, b: BasisKey) -> tuple:
     statement of the Leibniz rule, which every derivation-type identity of
     the package is for some ``d``.  A checker reads ``mul`` (structure
     constants) and ``d`` as ``scaled_values`` and sums the parts with
-    ``gaussian_sum``; a solver reads ``d`` as linear forms and turns the
-    same parts into rows with ``LinearSystem.add_parts``."""
+    ``gaussian_sum``; a solver reads ``mul`` as ``plain_values`` and ``d``
+    as linear forms and turns the same parts into rows with
+    ``LinearSystem.add_parts``."""
     return (
         (1, mul(a, b), d),
         (-1, d(b), lambda u: mul(a, u)),
@@ -427,25 +434,24 @@ def decompose_derivation(d: LinearMap, window: Window):
         raise ValueError("decomposition needs a window radius of at least 3")
     product = LIE_W00
     x_keys = [k for k in product.window_keys(2 * n_max) if k != I(0)]
-    x = [((k, col), 1) for col, k in enumerate(x_keys)]
-    outer = [((m, col), 1) for col, m in enumerate((D1, D2, D3), len(x))]
+    x = {k: col for col, k in enumerate(x_keys)}
+    outer = {m: col for col, m in enumerate((D1, D2, D3), len(x))}
     const = len(x) + len(outer)
     system = LinearSystem(const)
-    mul = plain_constants(product)
-
-    def values(m, key):
-        return [(w, plain(v)) for w, v in m.apply_key(key).items()]
+    mul = plain_values(product.mul_keys)
+    value = plain_values(lambda m, key: m.apply_key(key))
 
     # Per output coordinate: d(b0) - ad(x)(b0) - sum of c*d(b0) = 0, with
-    # the constant term in the column past the last unknown.  A tabular d
-    # raises DomainNotCovered at its first uncovered interior key.
+    # the constant term in the column past the last unknown.  d(b0) is read
+    # first, so a tabular d raises DomainNotCovered at its first uncovered
+    # interior key even once the constant column is pinned.
     for b0 in product.window_keys(n_max - 1):
-        d_b0 = values(d, b0)
+        d_b0 = value(d, b0)
         system.add_parts(
             (
                 (-1, x, lambda u: mul(u, b0)),
-                (-1, outer, lambda m: values(m, b0)),
-                (1, (((d, const), 1),), lambda _: d_b0),
+                (-1, outer, lambda m: value(m, b0)),
+                (1, {d: const}, lambda _: d_b0),
             )
         )
         system.flush()
@@ -453,5 +459,5 @@ def decompose_derivation(d: LinearMap, window: Window):
     solution = system.solve_affine()
     if solution is None:
         return None
-    inner = Element({k: solution.get(col, Scalar(0)) for (k, col), _ in x})
-    return Decomposition(inner, *(solution.get(col, Scalar(0)) for (_, col), _ in outer))
+    inner = Element({k: solution.get(col, 0) for k, col in x.items()})
+    return Decomposition(inner, *(Scalar.coerce(solution.get(col, 0)) for col in outer.values()))

@@ -1,10 +1,10 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-Scalar is the coefficient type of elements, maps and solved bases: a
-complex number whose real and imaginary parts are arbitrary-precision
-Fractions.  A windowed solve's rows hold ``plain`` numbers (int, Fraction,
-or Scalar only when not real), and only its basis is made of Scalars.
-A checker's residuals (the left-symmetric associator included) sum
+Scalar is the coefficient type of elements and maps: a complex number
+whose real and imaginary parts are arbitrary-precision Fractions.  A
+windowed solve holds ``plain`` numbers (int, Fraction, or Scalar only
+when not real) end to end, solved bases included (``linalg``).  A
+checker's residuals (the left-symmetric associator included) sum
 ``gaussian_integers`` values; only a nonzero coordinate becomes a Scalar.
 Every operation is exact, so downstream zero tests are decisive; no
 module in this package owns a tolerance.
@@ -43,9 +43,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

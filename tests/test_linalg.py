@@ -19,7 +19,6 @@ from hvalgebra.linalg import (
     SolutionSpace,
     VarRegistry,
     nullspace,
-    rank,
     rref,
     solve_affine,
     span_equal,
@@ -51,8 +50,14 @@ def _retyped(row):
     )
 
 
-def _all_scalars(rows):
-    return all(type(v) is Scalar for row in rows for v in row.values())
+def _all_plain(rows):
+    """Every entry is a plain number: an int, a Fraction, or a Scalar only
+    where it is not real."""
+    return all(
+        type(v) in (int, Fraction) or (type(v) is Scalar and v.im)
+        for row in rows
+        for v in row.values()
+    )
 
 
 def test_registry_is_append_only():
@@ -83,7 +88,7 @@ def test_rref_depends_only_on_the_row_span():
 
 def test_rank_and_nullspace_small():
     rows = S([{0: 1, 1: 1}, {1: 1, 2: 1}])
-    assert rank(rows) == 2
+    assert len(rref(rows)) == 2
     basis = nullspace(rows, 3)
     assert len(basis) == 1
     (vec,) = basis
@@ -106,7 +111,7 @@ def test_rank_nullity_on_random_sparse_matrices():
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-        r = rank(rows)
+        r = len(rref(rows))
         basis = nullspace(rows, ncols)
         assert r + len(basis) == ncols
         for vec in basis:
@@ -205,10 +210,12 @@ def _check_against_the_dense_oracle(rows, ncols):
     expected = _dense_rref(dense, ncols)
     reduced = rref(rows)
     assert [_to_dense(row, ncols) for row in reduced] == expected
-    assert rank(rows) == len(expected)
+    assert len(rref(rows)) == len(expected)
     basis = nullspace(rows, ncols)
     assert [_to_dense(vec, ncols) for vec in basis] == _dense_nullspace(dense, ncols)
-    assert _all_scalars(basis)
+    solution = solve_affine(rows, ncols - 1)
+    # every answer holds plain numbers, whatever types the rows hold
+    assert _all_plain(reduced) and _all_plain(basis) and _all_plain([solution or {}])
     assert rows == before
     return reduced
 
@@ -217,8 +224,8 @@ def _check_against_the_dense_oracle(rows, ncols):
 @given(_systems())
 def test_rank_rref_and_nullspace_match_a_dense_oracle(system):
     rows, ncols = system
-    # Scalar rows in, Scalar rows out
-    assert _all_scalars(_check_against_the_dense_oracle(rows, ncols))
+    # Scalar rows in, plain numbers out
+    assert _all_plain(_check_against_the_dense_oracle(rows, ncols))
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,7 +296,6 @@ def test_elimination_never_mutates_its_input_rows(system):
     rows, ncols = system
     before = copy.deepcopy(rows)
     reduced = rref(rows)
-    rank(rows)
     nullspace(rows, ncols)
     solve_affine(rows, ncols - 1)
     SolutionSpace(VarRegistry(), rows).reduce(rows[0] if rows else {})
@@ -321,10 +327,11 @@ def test_solve_affine():
     # underdetermined: free variables default to zero
     rows = S([{0: 1, 1: 2, 2: -4}])
     assert solve_affine(rows, 2) == {0: Scalar(4)}
-    # plain-number rows give a Scalar solution
+    # Scalar rows and plain-number rows alike give a plain solution
+    assert _all_plain([solve_affine(rows, 2)])
     solution = solve_affine([{0: 2, 1: Fraction(1, 2), 2: -3}, {1: 1, 2: -2}], 2)
-    assert solution == {0: Scalar(1), 1: Scalar(2)}
-    assert _all_scalars([solution])
+    assert solution == {0: 1, 1: 2}
+    assert _all_plain([solution])
 
 
 def _space(reg, rows):
@@ -563,21 +570,23 @@ def test_solvers_build_no_terms_in_pinned_columns(solve, monkeypatch):
 
 
 def test_add_parts_adds_the_negated_sum_in_both_part_shapes():
-    # a form-valued part reads numbers at the form's keys, a number-valued
-    # part reads a form at each key; each term is -sign * product
-    numbers = {L(0): [(I(0), 3)], L(1): [(I(1), Fraction(1, 2))]}
-    forms = {L(2): [((I(2), 2), 1)], L(3): [((I(3), 1), Scalar(0, 1)), ((I(3), 0), 1)]}
+    # a form-valued part (a dict {key: column}) reads numbers at the form's
+    # keys, a number-valued part reads a form at each key; each term is
+    # -sign * product
+    numbers = {L(0): [(I(0), 3), (I(3), 1)], L(1): [(I(1), Fraction(1, 2))]}
+    forms = {L(2): {I(2): 2}, L(3): {I(3): 1}}
     system = LinearSystem(3)
     system.add_parts(
         (
-            (1, [((L(0), 0), 1), ((L(1), 1), 2)], numbers.__getitem__),
+            (1, {L(0): 0, L(1): 1}, numbers.__getitem__),
             (-1, [(L(2), 5), (L(3), Scalar(1, 1))], forms.__getitem__),
         )
     )
     system.flush()
-    assert system.rows == S([{0: -3}, {1: -1}, {2: 5}, {1: Scalar(-1, 1), 0: Scalar(1, 1)}])
+    assert system.rows == [{0: -3}, {0: -1, 1: Scalar(1, 1)}, {1: Fraction(-1, 2)}, {2: 5}]
+    assert _all_plain(system.rows)
     # a pinned column is skipped before anything is read at it
-    system.add_parts(((1, [((L(0), 0), 1)], None), (-1, [(L(2), 7)], forms.__getitem__)))
+    system.add_parts(((1, {L(0): 0}, None), (-1, [(L(2), 7)], forms.__getitem__)))
     system.flush()
     assert len(system.rows) == 4
 
@@ -628,9 +637,9 @@ def test_solver_bases_annihilate_every_admitted_row(solve, real, monkeypatch):
                 (v * vec[c] for c, v in row.items() if c in vec), Scalar(0)
             )
             assert not total
-    # rows are assembled as plain numbers (Scalars only for a product
-    # with non-real constants); the basis is made of Scalars
-    assert _all_scalars(space.basis)
+    # rows and basis hold plain numbers (Scalars only for a product with
+    # non-real constants)
+    assert _all_plain(rows) and _all_plain(space.basis)
     if real:
         assert not any(type(v) is Scalar for row in rows for v in row.values())
     else:

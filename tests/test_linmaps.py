@@ -233,6 +233,8 @@ def test_decompose_shift_table():
         Scalar(-1),
         Scalar(1),
     )
+    # the solve answers in plain numbers; a Decomposition holds Scalars
+    assert all(type(c) is Scalar for c in got[1:])
 
 
 def test_decompose_rejects_non_derivations():

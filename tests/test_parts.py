@@ -3,9 +3,11 @@
 ``leibniz_parts`` and ``polarized_parts`` state the Leibniz and polarized
 rules once.  A checker sums them with ``gaussian_sum`` on a map's values;
 a solver turns them into rows with ``LinearSystem.add_parts`` on a map of
-unknowns.  Here both are evaluated on one seeded random map with Gaussian
-coefficients: each row, dotted with the map's coefficient vector, must
-give the negated residual at its coordinate, for every instance at W2.
+unknowns, each value a linear form ``{key: column}``, with structure
+constants read through ``plain_values``.  Here both are evaluated on one
+seeded random map with Gaussian coefficients: each row, dotted with the
+map's coefficient vector, must give the negated residual at its
+coordinate, for every instance at W2.
 """
 
 import random
@@ -14,10 +16,10 @@ from fractions import Fraction
 import pytest
 
 from hvalgebra.commuting import polarized_parts
-from hvalgebra.core import LIE_HV, LIE_W00, Element, plain_constants
+from hvalgebra.core import LIE_HV, LIE_W00, Element
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linalg import LinearSystem
-from hvalgebra.linmaps import gaussian_sum, leibniz_parts, scaled_values
+from hvalgebra.linmaps import gaussian_sum, leibniz_parts, plain_values, scaled_values
 from hvalgebra.scalars import Scalar
 
 PRODUCTS = {
@@ -69,11 +71,11 @@ def test_rows_dotted_with_the_map_give_the_negated_residual(name, rule):
     }
     columns = {(k, u): col for col, (k, u) in enumerate((k, u) for k in keys for u in keys)}
     vector = [table[k][u] for k, u in columns]
-    forms = {k: [((u, columns[k, u]), 1) for u in keys] for k in keys}
+    forms = {k: {u: columns[k, u] for u in keys} for k in keys}
 
     scaled_mul = scaled_values(product.mul_keys)
     scaled_map = scaled_values(table.__getitem__)
-    mul = plain_constants(product)
+    mul = plain_values(product.mul_keys)
     window = product.window_keys(2)
     for a in window:
         for b in window:
