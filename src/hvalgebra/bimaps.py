@@ -297,8 +297,18 @@ def solve_biderivations(
     n_max = window.n_max
     if out_bound < 2 * n_max:
         raise ValueError("output bound must be at least twice the window radius")
-    domain = product.window_keys(n_max, central=False)
     registry = VarRegistry()
+    basis = _biderivation_system(product, n_max, out_bound, degree, registry).nullspace()
+    meta = {"kind": "biderivation", "product": product, "n_max": n_max,
+            "out_bound": out_bound, "degree": degree}
+    return SolutionSpace(registry, basis, meta=meta, canonical=True)
+
+
+def _biderivation_system(product, n_max, out_bound, degree, registry) -> LinearSystem:
+    """The Leibniz rows of ``solve_biderivations``, over unknowns added to
+    ``registry``.  The linear forms and the per-solve caches die on return,
+    before elimination."""
+    domain = product.window_keys(n_max, central=False)
     out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(product, s, out_bound, degree))
     # f(p, q) as a linear form in its unknowns; a central argument reads 0
     forms = {
@@ -348,16 +358,7 @@ def solve_biderivations(
                     leibniz(x, y, right[z])
                 if not (twins and z <= y):
                     leibniz(y, z, left[x])
-
-    basis = system.nullspace()
-    meta = {
-        "kind": "biderivation",
-        "product": product,
-        "n_max": n_max,
-        "out_bound": out_bound,
-        "degree": degree,
-    }
-    return SolutionSpace(registry, basis, meta=meta, canonical=True)
+    return system
 
 
 def interior_projection(space: SolutionSpace, n_int: int) -> SolutionSpace:

@@ -66,9 +66,17 @@ def solve_commuting(window: Window) -> SolutionSpace:
     """
     n_max = window.n_max
     out_bound = 2 * n_max
+    registry = VarRegistry()
+    basis = _commuting_system(n_max, out_bound, registry).nullspace()
+    meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}
+    return SolutionSpace(registry, basis, meta=meta, canonical=True)
+
+
+def _commuting_system(n_max, out_bound, registry) -> LinearSystem:
+    """The polarized rows of ``solve_commuting``, over unknowns added to
+    ``registry``; the linear forms and the cache die on return."""
     domain = LIE_HV.window_keys(n_max)
     out_keys = LIE_HV.window_keys(out_bound)
-    registry = VarRegistry()
     phi = {b: {u: registry.add(("phi", b, u)) for u in out_keys} for b in domain}
     mul = plain_values(LIE_HV.mul_keys)
     system = LinearSystem(len(registry))
@@ -79,10 +87,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
             if near:  # else both arguments central: no bracket term survives
                 system.add_parts(polarized_parts(mul, phi.__getitem__, a, b))
                 system.flush(admission(near, out_bound))
-
-    basis = system.nullspace()
-    meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}
-    return SolutionSpace(registry, basis, meta=meta, canonical=True)
+    return system
 
 
 def generator_span(space: SolutionSpace, n_int: int) -> SolutionSpace:

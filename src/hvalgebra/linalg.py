@@ -193,14 +193,15 @@ def rref(rows) -> list:
 
 
 def _leading_one(col: int, row: dict) -> dict:
-    """The pivot row at ``col`` divided by its lead, in plain numbers: made
-    in place, so no pivot row is held twice."""
+    """The pivot row at ``col`` divided by its lead, in plain numbers (an
+    int where the lead divides the entry): made in place, so no pivot row
+    is held twice."""
     lead = row[col]
     for c, v in row.items():
         if type(v) is _Gaussian:
             row[c] = Scalar(Fraction(v.re, lead), Fraction(v.im, lead))
         elif lead != 1:
-            row[c] = Fraction(v, lead)
+            row[c] = Fraction(v, lead) if v % lead else v // lead
     row[col] = 1
     return row
 
@@ -209,16 +210,18 @@ def nullspace(rows, ncols: int) -> list:
     """Canonical basis of the solution set of ``rows * v = 0``.
 
     The standard free-variable basis is re-canonicalized with rref so the
-    returned vectors have leading ones at increasing variable ids.
+    returned vectors have leading ones at increasing variable ids.  Only
+    the free columns get a vector, one dict per solution rather than one
+    per column, and the pivot rows are dropped before the vectors are
+    re-canonicalized.
     """
-    reduced = rref(rows)
-    vectors = {free: {free: 1} for free in range(ncols)}
-    for prow in reduced:
-        pcol = min(prow)
-        del vectors[pcol]
+    pivots = {min(prow): prow for prow in rref(rows)}
+    vectors = {free: {free: 1} for free in range(ncols) if free not in pivots}
+    for pcol, prow in pivots.items():
         for free, coeff in prow.items():
             if free != pcol:
                 vectors[free][pcol] = -coeff
+    del pivots
     return rref(vectors.values())
 
 
@@ -256,6 +259,8 @@ class LinearSystem:
     pin its own column, or to nothing and not be kept.  Each kept row differs from
     the one the solver built by multiples of rows kept before, so the row
     span, and with it every canonical answer, is that of the built rows.
+    ``nullspace`` and ``solve_affine`` end assembly: they drop the pin
+    set and the coordinate buffer, so elimination holds only the rows.
     """
 
     def __init__(self, ncols: int):
@@ -266,7 +271,8 @@ class LinearSystem:
 
     @property
     def pinned(self):
-        """The pinned columns, as the live set ``flush`` grows.  Read only."""
+        """The pinned columns, as the live set ``flush`` grows, until the
+        rows go to elimination; None after.  Read only."""
         return self._pinned
 
     def add(self, coord, col: int, value) -> None:
@@ -321,11 +327,13 @@ class LinearSystem:
         """Canonical basis of the homogeneous system's solutions."""
         if not self.rows:
             raise InfeasibleWindow("no admissible constraint rows on this window")
+        self._pinned = self._coords = None
         return nullspace(self.rows, self.ncols)
 
     def solve_affine(self):
         """Particular solution (or None) of the inhomogeneous system whose
         constant terms sit in column ``ncols``."""
+        self._pinned = self._coords = None
         return solve_affine(self.rows, self.ncols)
 
 

@@ -1,8 +1,12 @@
 """Exact sparse row reduction, nullspaces, and span comparison."""
 
 import copy
+import gc
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 from hypothesis import example, given, settings
@@ -316,6 +320,26 @@ def test_rref_skips_a_column_that_cancelled_out_of_an_indexed_pivot_row():
     assert nullspace(rows, 4) == [{1: 1}]
 
 
+def test_rref_answers_an_int_where_the_lead_divides_the_entry():
+    (row,) = rref([{0: 2, 1: 4, 2: 3}])
+    assert row == {0: 1, 1: 2, 2: Fraction(3, 2)}
+    assert [type(v) for v in row.values()] == [int, int, Fraction]
+
+
+def test_nullspace_allocates_vectors_for_free_columns_only():
+    # full rank: rref's copies of the rows are the only dicts per column,
+    # since no column is free and so none gets a basis vector
+    rows = [{c: 2} for c in range(4000)]
+    tracemalloc.start()
+    try:
+        basis = nullspace(rows, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis == []
+    assert peak < 1.6 * 4000 * sys.getsizeof({0: 1})
+
+
 def test_solve_affine():
     # each row holds its constant term in column nvars: row . (x, 1) = 0
     # x + y = 3, y = 1  ->  x = 2 with no free variables involved
@@ -602,6 +626,48 @@ def test_pinned_is_a_read_only_view_of_the_flushed_pins():
     assert pinned == {1} and system.pinned is pinned
     with pytest.raises(AttributeError):
         system.pinned = set()
+
+
+def test_handing_rows_to_elimination_drops_the_pins():
+    system = LinearSystem(3)
+    _flush(system, {"a": {0: 1}, "b": {1: 1, 2: 1}})
+    assert system.pinned == {0}
+    assert system.nullspace() == [{1: 1, 2: -1}]
+    assert system.pinned is None
+    # the rows stay, so elimination can run again
+    assert system.rows == S([{0: 1}, {1: 1, 2: 1}])
+    assert system.nullspace() == [{1: 1, 2: -1}]
+    system = LinearSystem(2)
+    _flush(system, {"a": {0: 1, 2: -3}})
+    assert system.pinned == set()
+    assert system.solve_affine() == {0: 3}
+    assert system.pinned is None
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: solve_biderivations(LIE_HV, Window(2), 4), lambda: solve_commuting(Window(3))],
+    ids=["biderivations", "commuting"],
+)
+def test_assembly_state_is_freed_before_elimination(solve, monkeypatch):
+    # the assembly's closures and its plain_values cache, and with them the
+    # linear forms, are gone once the rows reach nullspace
+    assembly = ("_biderivation_system.", "_commuting_system.", "plain_values.")
+    live = []
+    original = linalg.nullspace
+
+    def spy(rows, ncols):
+        objects = gc.get_objects()
+        live.extend(
+            f.__qualname__
+            for f in objects
+            if type(f) is FunctionType and f.__qualname__.startswith(assembly)
+        )
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    solve()
+    assert live == []
 
 
 _GAUSSIAN_QUOTIENT = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)), quotient=True)
