@@ -651,16 +651,17 @@ def test_handing_rows_to_elimination_drops_the_pins():
 )
 def test_assembly_state_is_freed_before_elimination(solve, monkeypatch):
     # the assembly's closures and its plain_values cache, and with them the
-    # linear forms, are gone once the rows reach nullspace
+    # linear forms, are gone once the rows reach nullspace; collecting
+    # first clears cycles that earlier tests left, such as tracebacks
     assembly = ("_biderivation_system.", "_commuting_system.", "plain_values.")
     live = []
     original = linalg.nullspace
 
     def spy(rows, ncols):
-        objects = gc.get_objects()
+        gc.collect()
         live.extend(
             f.__qualname__
-            for f in objects
+            for f in gc.get_objects()
             if type(f) is FunctionType and f.__qualname__.startswith(assembly)
         )
         return original(rows, ncols)
