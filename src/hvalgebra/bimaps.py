@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
+from . import linalg
 from .core import (
     LIE_HV,
     BasisKey,
@@ -32,7 +33,7 @@ from .core import (
     CENTRAL_KEYS,
 )
 from .errors import DomainNotCovered
-from .linalg import LinearSystem, SolutionSpace, VarRegistry, reference_span
+from .linalg import SolutionSpace, VarRegistry, reference_span
 from .linmaps import (
     CheckReport,
     Window,
@@ -298,16 +299,18 @@ def solve_biderivations(
     if out_bound < 2 * n_max:
         raise ValueError("output bound must be at least twice the window radius")
     registry = VarRegistry()
-    basis = _biderivation_system(product, n_max, out_bound, degree, registry).nullspace()
+    instances = _biderivation_system(product, n_max, out_bound, degree, registry)
+    basis = linalg.nullspace(linalg.admitted_rows(instances), len(registry))
     meta = {"kind": "biderivation", "product": product, "n_max": n_max,
             "out_bound": out_bound, "degree": degree}
     return SolutionSpace(registry, basis, meta=meta, canonical=True)
 
 
-def _biderivation_system(product, n_max, out_bound, degree, registry) -> LinearSystem:
-    """The Leibniz rows of ``solve_biderivations``, over unknowns added to
-    ``registry``.  The linear forms and the per-solve caches die on return,
-    before elimination."""
+def _biderivation_system(product, n_max, out_bound, degree, registry):
+    """The Leibniz instances of ``solve_biderivations``, over unknowns
+    added to ``registry``.  The linear forms and the per-solve caches die
+    with the generator once its last instance is read, before
+    elimination."""
     domain = product.window_keys(n_max, central=False)
     out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(product, s, out_bound, degree))
     # f(p, q) as a linear form in its unknowns; a central argument reads 0
@@ -320,7 +323,6 @@ def _biderivation_system(product, n_max, out_bound, degree, registry) -> LinearS
     right = {z: {k: forms[k, z] for k in domain} | zero for z in domain}
     left = {x: {k: forms[x, k] for k in domain} | zero for x in domain}
 
-    system = LinearSystem(len(registry))
     mul = plain_values(product.mul_keys)
     known = set(domain).union(CENTRAL_KEYS)  # the keys of every right[z] and left[x]
 
@@ -336,15 +338,14 @@ def _biderivation_system(product, n_max, out_bound, degree, registry) -> LinearS
         return admission((a.index, b.index, 0) if noncentral else (a.index, b.index), out_bound)
 
     def leibniz(a, b, d):
-        """Rows of the Leibniz rule at (a, b) for ``d``, a dict from each
-        window key to its linear form.  A row at w is fed by d(b) at
-        w - index(a), by d(a) at w - index(b) and, when a*b has a
+        """The Leibniz instance at (a, b) for ``d``, a dict from each window
+        key to its linear form, unless it is dropped.  A row at w is fed by
+        d(b) at w - index(a), by d(a) at w - index(b) and, when a*b has a
         noncentral term, by d(a*b) at w itself.
         """
         admit = rule(a, b)
         if admit is not None:
-            system.add_parts(leibniz_parts(mul, d.__getitem__, a, b))
-            system.flush(admit)
+            yield leibniz_parts(mul, d.__getitem__, a, b), admit
 
     # The first-slot identity at (x, y, z) is the Leibniz rule of f(., z)
     # at (x, y), the second-slot one that of f(x, .) at (y, z).  On an
@@ -355,10 +356,9 @@ def _biderivation_system(product, n_max, out_bound, degree, registry) -> LinearS
         for y in domain:
             for z in domain:
                 if not (twins and y <= x):
-                    leibniz(x, y, right[z])
+                    yield from leibniz(x, y, right[z])
                 if not (twins and z <= y):
-                    leibniz(y, z, left[x])
-    return system
+                    yield from leibniz(y, z, left[x])
 
 
 def interior_projection(space: SolutionSpace, n_int: int) -> SolutionSpace:

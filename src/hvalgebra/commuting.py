@@ -9,8 +9,9 @@ span on a window.
 
 from __future__ import annotations
 
+from . import linalg
 from .core import LIE_HV
-from .linalg import LinearSystem, SolutionSpace, VarRegistry, reference_span
+from .linalg import SolutionSpace, VarRegistry, reference_span
 from .linmaps import (
     CentralMap,
     CheckReport,
@@ -35,7 +36,7 @@ def polarized_parts(mul, phi, a, b) -> tuple:
     """The parts of [phi(a), b] + [phi(b), a], the one statement of the
     polarized rule, in the shape ``linmaps.leibniz_parts`` gives: summed
     by ``gaussian_sum`` in the checker and turned into rows by
-    ``LinearSystem.add_parts`` in the solver."""
+    ``linalg.admitted_rows`` in the solver."""
     return ((1, phi(a), lambda u: mul(u, b)), (1, phi(b), lambda u: mul(u, a)))
 
 
@@ -67,27 +68,26 @@ def solve_commuting(window: Window) -> SolutionSpace:
     n_max = window.n_max
     out_bound = 2 * n_max
     registry = VarRegistry()
-    basis = _commuting_system(n_max, out_bound, registry).nullspace()
+    instances = _commuting_system(n_max, out_bound, registry)
+    basis = linalg.nullspace(linalg.admitted_rows(instances), len(registry))
     meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}
     return SolutionSpace(registry, basis, meta=meta, canonical=True)
 
 
-def _commuting_system(n_max, out_bound, registry) -> LinearSystem:
-    """The polarized rows of ``solve_commuting``, over unknowns added to
-    ``registry``; the linear forms and the cache die on return."""
+def _commuting_system(n_max, out_bound, registry):
+    """The polarized instances of ``solve_commuting``, over unknowns added
+    to ``registry``; the linear forms and the cache die with the generator
+    once its last instance is read."""
     domain = LIE_HV.window_keys(n_max)
     out_keys = LIE_HV.window_keys(out_bound)
     phi = {b: {u: registry.add(("phi", b, u)) for u in out_keys} for b in domain}
     mul = plain_values(LIE_HV.mul_keys)
-    system = LinearSystem(len(registry))
 
     for i, a in enumerate(domain):
         for b in domain[i:]:
             near = [k.index for k in (a, b) if not k.is_central]
             if near:  # else both arguments central: no bracket term survives
-                system.add_parts(polarized_parts(mul, phi.__getitem__, a, b))
-                system.flush(admission(near, out_bound))
-    return system
+                yield polarized_parts(mul, phi.__getitem__, a, b), admission(near, out_bound)
 
 
 def generator_span(space: SolutionSpace, n_int: int) -> SolutionSpace:

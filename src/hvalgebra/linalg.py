@@ -14,8 +14,8 @@ so two computations of the same span produce identical representations
 and every report built on top is byte-stable.  Only that answer divides
 by the leads.  As the form is unique, ``rref`` picks its order of work:
 rows by decreasing lead column, with an index of the pivot rows holding
-each column.  A solver's rows come from ``LinearSystem.add_parts``, the
-only row builder, which leaves out columns pinned to zero.
+each column.  A solver's rows come from ``admitted_rows``, the only row
+builder, which leaves out columns pinned to zero.
 """
 
 from __future__ import annotations
@@ -244,58 +244,41 @@ def solve_affine(rows, nvars: int):
     return solution
 
 
-class LinearSystem:
-    """The constraint rows of one windowed solve over ``ncols`` unknowns.
+def admitted_rows(instances) -> list:
+    """The constraint rows of one windowed solve, from its identity
+    instances, each a pair ``(parts, admit)``.
 
-    Each identity instance adds its terms with ``add_parts`` (one sparse
-    row per output coordinate), then ``flush`` turns those coordinates
-    into rows.  Terms are plain numbers, so real rows are built in int
-    and Fraction arithmetic and reduced in ints, and the solutions come
-    back in plain numbers too.  A row is kept when it is nonzero
-    and the solver's ``admit(coord)`` holds (no predicate admits all),
-    except a single-entry row whose column is already pinned.  A kept
-    row with one entry pins its column to zero: ``add`` drops every later
-    term in a pinned column, so a later row may shrink to one entry and
-    pin its own column, or to nothing and not be kept.  Each kept row differs from
-    the one the solver built by multiples of rows kept before, so the row
-    span, and with it every canonical answer, is that of the built rows.
-    ``nullspace`` and ``solve_affine`` end assembly: they drop the pin
-    set and the coordinate buffer, so elimination holds only the rows.
+    An instance adds the negated sum of its ``(sign, value, read)`` parts,
+    sign 1 or -1, the shape ``linmaps.gaussian_sum`` sums, as one sparse
+    row per output coordinate.  One factor of each term is a linear form,
+    a dict ``{key: col}`` whose unknowns all have coefficient one: either
+    ``value`` is a form and ``read(key)`` gives ``(coord, number)`` pairs,
+    or ``value`` holds ``(key, number)`` pairs and ``read(key)`` gives a
+    form keyed by coord.  Terms are plain numbers, so real rows are built
+    in int and Fraction arithmetic.
+
+    A row is kept when it is nonzero and ``admit(coord)`` holds (None
+    admits all), except a single-entry row whose column is already
+    pinned.  A kept row with one entry pins its column to zero: a later
+    instance skips every term in a pinned column before its numbers are
+    read, so a later row may shrink to one entry and pin its own column,
+    or to nothing and not be kept.  Each kept row differs from the one
+    the instance built by multiples of rows kept before, so the row span,
+    and with it every canonical answer, is that of the built rows.
     """
+    rows = []
+    pinned = set()
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows = []
-        self._pinned = set()
-        self._coords = {}
-
-    @property
-    def pinned(self):
-        """The pinned columns, as the live set ``flush`` grows, until the
-        rows go to elimination; None after.  Read only."""
-        return self._pinned
-
-    def add(self, coord, col: int, value) -> None:
-        if col in self._pinned:
-            return
-        row = self._coords.setdefault(coord, {})
+    def add(coord, col, value):
+        row = coords.setdefault(coord, {})
         value = row[col] + value if col in row else value
         if value:
             row[col] = value
         else:
             row.pop(col, None)
 
-    def add_parts(self, parts) -> None:
-        """Add the negated sum of ``(sign, value, read)`` parts, sign 1 or
-        -1, the shape ``linmaps.gaussian_sum`` sums.  One factor of each
-        term is a linear form, a dict ``{key: col}`` whose unknowns all
-        have coefficient one: either ``value`` is a form and ``read(key)``
-        gives ``(coord, number)`` pairs, or ``value`` holds ``(key,
-        number)`` pairs and ``read(key)`` gives a form keyed by coord.  A
-        pinned column is skipped before its numbers are read, and a number
-        is negated only for a term that is added."""
-        add = self.add
-        pinned = self._pinned
+    for parts, admit in instances:
+        coords = {}
         for sign, value, read in parts:
             if type(value) is dict:
                 for key, col in value.items():
@@ -310,31 +293,18 @@ class LinearSystem:
                         if neg is None:
                             neg = -c if sign > 0 else c
                         add(coord, col, neg)
-
-    def flush(self, admit=None) -> None:
-        for coord, row in self._coords.items():
+        for coord, row in coords.items():
             if not row or (admit is not None and not admit(coord)):
                 continue
             if len(row) == 1:
                 (col,) = row
-                if col in self._pinned:
+                if col in pinned:
                     continue
-                self._pinned.add(col)
-            self.rows.append(row)
-        self._coords = {}
-
-    def nullspace(self) -> list:
-        """Canonical basis of the homogeneous system's solutions."""
-        if not self.rows:
-            raise InfeasibleWindow("no admissible constraint rows on this window")
-        self._pinned = self._coords = None
-        return nullspace(self.rows, self.ncols)
-
-    def solve_affine(self):
-        """Particular solution (or None) of the inhomogeneous system whose
-        constant terms sit in column ``ncols``."""
-        self._pinned = self._coords = None
-        return solve_affine(self.rows, self.ncols)
+                pinned.add(col)
+            rows.append(row)
+    if not rows:
+        raise InfeasibleWindow("no admissible constraint rows on this window")
+    return rows
 
 
 class SolutionSpace:

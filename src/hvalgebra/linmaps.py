@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import linalg
 from .core import (
     LIE_HV,
     LIE_W00,
@@ -31,7 +32,6 @@ from .core import (
     linear_extension,
 )
 from .errors import DomainNotCovered, NotCentral
-from .linalg import LinearSystem
 from .parallel import run_ordered
 from .scalars import Scalar, gaussian_integers, plain
 
@@ -131,7 +131,7 @@ def collect_report(residual, instances, twin=None) -> CheckReport:
 
 def admission(shifts, out_bound: int):
     """The row-admission rule of every windowed solve, as the predicate
-    ``LinearSystem.flush`` takes.
+    ``linalg.admitted_rows`` takes with each instance.
 
     A row at output coordinate ``w`` is fed by unknowns at index
     ``w.index - s`` for each offset ``s`` in ``shifts``, and it is an exact
@@ -220,7 +220,7 @@ def leibniz_parts(mul, d, a: BasisKey, b: BasisKey) -> tuple:
     constants) and ``d`` as ``scaled_values`` and sums the parts with
     ``gaussian_sum``; a solver reads ``mul`` as ``plain_values`` and ``d``
     as linear forms and turns the same parts into rows with
-    ``LinearSystem.add_parts``."""
+    ``linalg.admitted_rows``."""
     return (
         (1, mul(a, b), d),
         (-1, d(b), lambda u: mul(a, u)),
@@ -437,26 +437,24 @@ def decompose_derivation(d: LinearMap, window: Window):
     x = {k: col for col, k in enumerate(x_keys)}
     outer = {m: col for col, m in enumerate((D1, D2, D3), len(x))}
     const = len(x) + len(outer)
-    system = LinearSystem(const)
     mul = plain_values(product.mul_keys)
     value = plain_values(lambda m, key: m.apply_key(key))
 
-    # Per output coordinate: d(b0) - ad(x)(b0) - sum of c*d(b0) = 0, with
-    # the constant term in the column past the last unknown.  d(b0) is read
-    # first, so a tabular d raises DomainNotCovered at its first uncovered
-    # interior key even once the constant column is pinned.
-    for b0 in product.window_keys(n_max - 1):
-        d_b0 = value(d, b0)
-        system.add_parts(
-            (
+    def instances():
+        """Per output coordinate: d(b0) - ad(x)(b0) - sum of c*d(b0) = 0,
+        with the constant term in the column past the last unknown.  d(b0)
+        is read first, so a tabular d raises DomainNotCovered at its first
+        uncovered interior key even once the constant column is pinned."""
+        for b0 in product.window_keys(n_max - 1):
+            d_b0 = value(d, b0)
+            parts = (
                 (-1, x, lambda u: mul(u, b0)),
                 (-1, outer, lambda m: value(m, b0)),
                 (1, {d: const}, lambda _: d_b0),
             )
-        )
-        system.flush()
+            yield parts, None
 
-    solution = system.solve_affine()
+    solution = linalg.solve_affine(linalg.admitted_rows(instances()), const)
     if solution is None:
         return None
     inner = Element({k: solution.get(col, 0) for k, col in x.items()})

@@ -191,7 +191,7 @@ def accumulate(acc: dict, terms: dict, factor=None) -> None:
 
     ``factor`` defaults to one.  An entry whose sum is zero is removed, so
     ``acc`` stays free of zeros.  Every sparse sum and elimination step of
-    the package but ``LinearSystem.add``'s single terms goes through here.
+    the package but ``linalg.admitted_rows``'s single terms goes through here.
     """
     get = acc.get
     for key, value in terms.items():

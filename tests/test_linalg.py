@@ -19,9 +19,9 @@ from hvalgebra.core import LIE_HV, LIE_W00, Element, I, L
 from hvalgebra.errors import IncompatibleSpaces, InfeasibleWindow
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
 from hvalgebra.linalg import (
-    LinearSystem,
     SolutionSpace,
     VarRegistry,
+    admitted_rows,
     nullspace,
     rref,
     solve_affine,
@@ -400,101 +400,94 @@ def test_solution_space_reduce_and_restrict():
     assert projected.contains({0: Scalar(1)})
 
 
-def _flush(system, rows, admit=None):
-    for coord, row in rows.items():
-        for col, value in row.items():
-            system.add(coord, col, Scalar.coerce(value))
-    system.flush(admit)
+def _instance(coords, admit=None):
+    """An instance whose parts add exactly the rows of ``coords``, a dict
+    from each coordinate to its row."""
+    terms = [(coord, col, v) for coord, row in coords.items() for col, v in row.items()]
+    form = {i: col for i, (_, col, _) in enumerate(terms)}
+    return ((-1, form, lambda i: (terms[i][::2],)),), admit
 
 
 def test_linear_system_drops_terms_that_cancel():
-    system = LinearSystem(3)
-    system.add("a", 0, Scalar(1))
-    system.add("a", 1, Scalar(1, 1))
-    system.add("a", 0, Scalar(-1))
-    system.add("a", 1, Scalar(-1, -1))
-    system.add("b", 2, Scalar(0, 3))
-    system.add("b", 1, Scalar(2))
-    system.add("b", 2, Scalar(0, -3))
-    system.flush()
-    assert system.rows == S([{1: 2}])
+    instance = _instance({
+        "a": {0: Scalar(1), 1: Scalar(1, 1)},
+        "b": {2: Scalar(0, 3), 1: Scalar(2)},
+    })
+    cancel = _instance({"a": {0: Scalar(-1), 1: Scalar(-1, -1)}, "b": {2: Scalar(0, -3)}})
+    assert admitted_rows([(instance[0] + cancel[0], None)]) == S([{1: 2}])
 
 
 def test_linear_system_applies_the_admission_predicate():
-    system = LinearSystem(2)
-    _flush(system, {1: {0: 1}, 5: {1: 1}}, admit=lambda coord: coord < 3)
-    assert system.rows == S([{0: 1}])
-    # the predicate applies to one flush only
-    _flush(system, {5: {1: 1}})
-    assert system.rows == S([{0: 1}, {1: 1}])
+    rows = admitted_rows([_instance({1: {0: 1}, 5: {1: 1}}, admit=lambda coord: coord < 3)])
+    assert rows == S([{0: 1}])
+    # the predicate applies to one instance only
+    rows = admitted_rows([
+        _instance({1: {0: 1}, 5: {1: 1}}, admit=lambda coord: coord < 3),
+        _instance({5: {1: 1}}),
+    ])
+    assert rows == S([{0: 1}, {1: 1}])
 
 
 def test_linear_system_raises_when_nothing_is_admitted():
-    system = LinearSystem(2)
-    _flush(system, {1: {0: 1}}, admit=lambda coord: False)
-    assert system.rows == []
+    with pytest.raises(InfeasibleWindow, match="no admissible constraint rows"):
+        admitted_rows([_instance({1: {0: 1}}, admit=lambda coord: False)])
     with pytest.raises(InfeasibleWindow):
-        system.nullspace()
+        admitted_rows([])
 
 
 def test_linear_system_affine_solve():
     # x + y = 3, y = 1, with the constant term in column ncols = 2
-    system = LinearSystem(2)
-    _flush(system, {"a": {0: 1, 1: 1, 2: -3}, "b": {1: 1, 2: -1}})
-    assert system.solve_affine() == {0: Scalar(2), 1: Scalar(1)}
+    rows = admitted_rows([_instance({"a": {0: 1, 1: 1, 2: -3}, "b": {1: 1, 2: -1}})])
+    assert solve_affine(rows, 2) == {0: Scalar(2), 1: Scalar(1)}
     # x = 1 and x = 2 together are inconsistent
-    system = LinearSystem(1)
-    _flush(system, {"a": {0: 1, 1: -1}, "b": {0: 1, 1: -2}})
-    assert system.solve_affine() is None
+    rows = admitted_rows([_instance({"a": {0: 1, 1: -1}, "b": {0: 1, 1: -2}})])
+    assert solve_affine(rows, 1) is None
 
 
 def test_linear_system_drops_later_terms_in_a_pinned_column():
-    system = LinearSystem(3)
-    _flush(system, {"a": {0: 2}})
-    _flush(system, {"b": {0: 1, 1: 3, 2: 1}})
-    assert system.rows == S([{0: 2}, {1: 3, 2: 1}])
+    rows = admitted_rows([_instance({"a": {0: 2}}), _instance({"b": {0: 1, 1: 3, 2: 1}})])
+    assert rows == S([{0: 2}, {1: 3, 2: 1}])
 
 
 def test_linear_system_does_not_keep_a_row_that_empties():
-    system = LinearSystem(2)
-    # a repeated single entry in the same flush is a multiple of the first
-    _flush(system, {"a": {0: 1}, "b": {0: 3}})
-    _flush(system, {"c": {0: 5}, "d": {}})
-    assert system.rows == S([{0: 1}])
-    assert system.nullspace() == S([{1: 1}])
+    # a repeated single entry in the same instance is a multiple of the first
+    rows = admitted_rows([_instance({"a": {0: 1}, "b": {0: 3}}), _instance({"c": {0: 5}, "d": {}})])
+    assert rows == S([{0: 1}])
+    assert nullspace(rows, 2) == S([{1: 1}])
 
 
 def test_linear_system_pins_cascade_through_rows_stripped_to_one_entry():
-    system = LinearSystem(5)
-    _flush(system, {"a": {0: 1}})
-    _flush(system, {"b": {0: 1, 1: 2}})
-    _flush(system, {"c": {1: 1, 2: -1}})
-    # pins take effect at the next add, so "e" keeps column 3 here
-    _flush(system, {"d": {0: 1, 1: 1, 2: 1, 3: 1}, "e": {2: 1, 3: 1, 4: 1}})
-    _flush(system, {"f": {3: 1, 4: 2}})
-    assert system.rows == S([{0: 1}, {1: 2}, {2: -1}, {3: 1}, {3: 1, 4: 1}, {4: 2}])
-    assert system.nullspace() == []
+    rows = admitted_rows([
+        _instance({"a": {0: 1}}),
+        _instance({"b": {0: 1, 1: 2}}),
+        _instance({"c": {1: 1, 2: -1}}),
+        # pins take effect at the next instance, so "e" keeps column 3 here
+        _instance({"d": {0: 1, 1: 1, 2: 1, 3: 1}, "e": {2: 1, 3: 1, 4: 1}}),
+        _instance({"f": {3: 1, 4: 2}}),
+    ])
+    assert rows == S([{0: 1}, {1: 2}, {2: -1}, {3: 1}, {3: 1, 4: 1}, {4: 2}])
+    assert nullspace(rows, 5) == []
 
 
 def test_linear_system_rejected_single_entry_row_pins_nothing():
-    system = LinearSystem(2)
-    _flush(system, {1: {0: 1}}, admit=lambda coord: False)
-    _flush(system, {2: {0: 1, 1: 1}})
-    assert system.rows == S([{0: 1, 1: 1}])
+    rows = admitted_rows([
+        _instance({1: {0: 1}}, admit=lambda coord: False),
+        _instance({2: {0: 1, 1: 1}}),
+    ])
+    assert rows == S([{0: 1, 1: 1}])
 
 
 def test_linear_system_pinned_constant_column_is_still_inconsistent():
     # 0 = 1 pins the constant column; x = 2 then loses its constant term
-    system = LinearSystem(1)
-    _flush(system, {"a": {1: 1}})
-    _flush(system, {"b": {0: 1, 1: -2}})
-    assert system.rows == S([{1: 1}, {0: 1}])
-    assert system.solve_affine() is None
+    rows = admitted_rows([_instance({"a": {1: 1}}), _instance({"b": {0: 1, 1: -2}})])
+    assert rows == S([{1: 1}, {0: 1}])
+    assert solve_affine(rows, 1) is None
 
 
 @st.composite
-def _flush_batches(draw):
-    """Batches of coordinate rows, each with the coordinates it admits;
+def _instance_batches(draw):
+    """Instances as batches of coordinate rows, each with the coordinates
+    it admits;
     few columns and short rows, so that pins and cascades are common."""
     ncols = draw(st.integers(1, 5))
     rows = st.dictionaries(st.integers(0, ncols - 1), _entries, max_size=3)
@@ -507,8 +500,8 @@ def _flush_batches(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_flush_batches())
-# a kept row repeated in the same flush as a real multiple, then in the
+@given(_instance_batches())
+# a kept row repeated in the same instance as a real multiple, then in the
 # next as a non-real multiple and as a real one
 @example(([
     ({0: {0: 1, 1: 2}, 1: {0: -2, 1: -4}}, frozenset({0, 1})),
@@ -518,20 +511,25 @@ def _flush_batches(draw):
 ], 3))
 def test_linear_system_nullspace_is_that_of_every_admitted_row(system_batches):
     batches, ncols = system_batches
-    system = LinearSystem(ncols)
+    instances = [
+        _instance({c: {k: Scalar.coerce(v) for k, v in row.items()} for c, row in batch.items()},
+                  admit=admits.__contains__)
+        for batch, admits in batches
+    ]
     admitted = []
     for batch, admits in batches:
-        _flush(system, batch, admit=admits.__contains__)
         for coord, row in batch.items():
             row = {c: v for c, v in row.items() if v}
             if row and coord in admits:
                 admitted.append(row)
     if not admitted:
-        assert system.rows == []
+        with pytest.raises(InfeasibleWindow):
+            admitted_rows(instances)
         return
     _check_against_the_dense_oracle(admitted, ncols)
-    assert len(system.rows) <= len(admitted)
-    assert system.nullspace() == nullspace(admitted, ncols)
+    rows = admitted_rows(instances)
+    assert len(rows) <= len(admitted)
+    assert nullspace(rows, ncols) == nullspace(admitted, ncols)
 
 
 @pytest.mark.parametrize(
@@ -542,13 +540,13 @@ def test_linear_system_nullspace_is_that_of_every_admitted_row(system_batches):
 def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, monkeypatch):
     # Any change to which admitted rows are kept moves these counts.
     shapes = []
-    original = LinearSystem.nullspace
+    original = linalg.nullspace
 
-    def record(self):
-        shapes.append((len(self.rows), self.ncols))
-        return original(self)
+    def record(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return original(rows, ncols)
 
-    monkeypatch.setattr(LinearSystem, "nullspace", record)
+    monkeypatch.setattr(linalg, "nullspace", record)
     solve_biderivations(product, Window(2), 4, degree=degree)
     assert shapes == [shape]
 
@@ -580,17 +578,52 @@ def test_linear_system_hands_nullspace_the_pinned_rows(product, degree, shape, m
     ids=["leftsym-quotient", "commuting", "decompose"],
 )
 def test_solvers_build_no_terms_in_pinned_columns(solve, monkeypatch):
-    # every term of a solve reaches its system through add
-    calls = []
-    original = LinearSystem.add
+    # Each instance's rows are rebuilt here from every one of its terms,
+    # and a column pinned by an earlier instance is then cut out of them:
+    # admitted_rows, which skips those terms instead, must keep the same
+    # rows, in the order of each coordinate's first term it keeps.  An
+    # instance is read here after admitted_rows has read it and before the
+    # solver makes the next one.
+    expected = []
+    pinned = set()
+    original = linalg.admitted_rows
 
-    def spy(self, coord, col, value):
-        calls.append(col in self.pinned)
-        return original(self, coord, col, value)
+    def rebuild(parts, admit):
+        earlier = frozenset(pinned)
+        coords = {}
+        order = {}
+        for sign, value, read in parts:
+            if type(value) is dict:
+                terms = ((coord, col, v) for key, col in value.items() for coord, v in read(key))
+            else:
+                terms = ((coord, col, c) for key, c in value for coord, col in read(key).items())
+            for coord, col, v in terms:
+                row = coords.setdefault(coord, {})
+                row[col] = row.get(col, 0) - sign * v
+                if col not in earlier:
+                    order.setdefault(coord)
+        for coord in order:
+            row = {col: v for col, v in coords[coord].items() if v and col not in earlier}
+            if row and (admit is None or admit(coord)):
+                if len(row) == 1:
+                    if set(row) <= pinned:
+                        continue
+                    pinned.update(row)
+                expected.append(row)
 
-    monkeypatch.setattr(LinearSystem, "add", spy)
+    def spy(instances):
+        def passed_on():
+            for instance in instances:
+                yield instance
+                rebuild(*instance)
+
+        rows = original(passed_on())
+        assert rows == expected
+        return rows
+
+    monkeypatch.setattr(linalg, "admitted_rows", spy)
     solve()
-    assert calls and not any(calls)
+    assert expected
 
 
 def test_add_parts_adds_the_negated_sum_in_both_part_shapes():
@@ -599,49 +632,16 @@ def test_add_parts_adds_the_negated_sum_in_both_part_shapes():
     # -sign * product
     numbers = {L(0): [(I(0), 3), (I(3), 1)], L(1): [(I(1), Fraction(1, 2))]}
     forms = {L(2): {I(2): 2}, L(3): {I(3): 1}}
-    system = LinearSystem(3)
-    system.add_parts(
-        (
-            (1, {L(0): 0, L(1): 1}, numbers.__getitem__),
-            (-1, [(L(2), 5), (L(3), Scalar(1, 1))], forms.__getitem__),
-        )
+    parts = (
+        (1, {L(0): 0, L(1): 1}, numbers.__getitem__),
+        (-1, [(L(2), 5), (L(3), Scalar(1, 1))], forms.__getitem__),
     )
-    system.flush()
-    assert system.rows == [{0: -3}, {0: -1, 1: Scalar(1, 1)}, {1: Fraction(-1, 2)}, {2: 5}]
-    assert _all_plain(system.rows)
+    rows = admitted_rows([(parts, None)])
+    assert rows == [{0: -3}, {0: -1, 1: Scalar(1, 1)}, {1: Fraction(-1, 2)}, {2: 5}]
+    assert _all_plain(rows)
     # a pinned column is skipped before anything is read at it
-    system.add_parts(((1, {L(0): 0}, None), (-1, [(L(2), 7)], forms.__getitem__)))
-    system.flush()
-    assert len(system.rows) == 4
-
-
-def test_pinned_is_a_read_only_view_of_the_flushed_pins():
-    system = LinearSystem(3)
-    pinned = system.pinned
-    system.add("a", 1, 2)
-    system.add("b", 0, 1)
-    system.add("b", 2, 1)
-    assert not pinned
-    system.flush()
-    assert pinned == {1} and system.pinned is pinned
-    with pytest.raises(AttributeError):
-        system.pinned = set()
-
-
-def test_handing_rows_to_elimination_drops_the_pins():
-    system = LinearSystem(3)
-    _flush(system, {"a": {0: 1}, "b": {1: 1, 2: 1}})
-    assert system.pinned == {0}
-    assert system.nullspace() == [{1: 1, 2: -1}]
-    assert system.pinned is None
-    # the rows stay, so elimination can run again
-    assert system.rows == S([{0: 1}, {1: 1, 2: 1}])
-    assert system.nullspace() == [{1: 1, 2: -1}]
-    system = LinearSystem(2)
-    _flush(system, {"a": {0: 1, 2: -3}})
-    assert system.pinned == set()
-    assert system.solve_affine() == {0: 3}
-    assert system.pinned is None
+    pinned = ((1, {L(0): 0}, None), (-1, [(L(2), 7)], forms.__getitem__))
+    assert admitted_rows([(parts, None), (pinned, None)]) == rows
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 ``leibniz_parts`` and ``polarized_parts`` state the Leibniz and polarized
 rules once.  A checker sums them with ``gaussian_sum`` on a map's values;
-a solver turns them into rows with ``LinearSystem.add_parts`` on a map of
+a solver turns them into rows with ``linalg.admitted_rows`` on a map of
 unknowns, each value a linear form ``{key: column}``, with structure
 constants read through ``plain_values``.  Here both are evaluated on one
 seeded random map with Gaussian coefficients: each row, dotted with the
@@ -18,7 +18,8 @@ import pytest
 from hvalgebra.commuting import polarized_parts
 from hvalgebra.core import LIE_HV, LIE_W00, Element
 from hvalgebra.leftsym import LeftSymParams, LeftSymProduct
-from hvalgebra.linalg import LinearSystem
+from hvalgebra.errors import InfeasibleWindow
+from hvalgebra.linalg import admitted_rows
 from hvalgebra.linmaps import gaussian_sum, leibniz_parts, plain_values, scaled_values
 from hvalgebra.scalars import Scalar
 
@@ -42,19 +43,15 @@ def gauss(rng) -> Scalar:
             return Scalar(re, im)
 
 
-def instance_rows(ncols, parts) -> dict:
+def instance_rows(parts) -> dict:
     """Each output coordinate's row of one instance, read one coordinate
-    per fresh system, so that no pin drops a row."""
+    per assembly, so that no pin drops a row."""
     coords = []
-    system = LinearSystem(ncols)
-    system.add_parts(parts)
-    system.flush(coords.append)  # admits nothing, records every coordinate
+    with pytest.raises(InfeasibleWindow):
+        admitted_rows([(parts, coords.append)])  # admits nothing, records every coordinate
     rows = {}
     for w in coords:
-        system = LinearSystem(ncols)
-        system.add_parts(parts)
-        system.flush(w.__eq__)
-        (rows[w],) = system.rows
+        (rows[w],) = admitted_rows([(parts, w.__eq__)])
     return rows
 
 
@@ -80,7 +77,7 @@ def test_rows_dotted_with_the_map_give_the_negated_residual(name, rule):
     for a in window:
         for b in window:
             residual = gaussian_sum(parts_of(scaled_mul, scaled_map, a, b))
-            rows = instance_rows(len(columns), parts_of(mul, forms.__getitem__, a, b))
+            rows = instance_rows(parts_of(mul, forms.__getitem__, a, b))
             dotted = Element(
                 {w: sum(v * vector[c] for c, v in row.items()) for w, row in rows.items()}
             )
