@@ -337,28 +337,21 @@ def _biderivation_system(product, n_max, out_bound, degree, registry):
         noncentral = any(not k.is_central for k, _ in prod)
         return admission((a.index, b.index, 0) if noncentral else (a.index, b.index), out_bound)
 
-    def leibniz(a, b, d):
-        """The Leibniz instance at (a, b) for ``d``, a dict from each window
-        key to its linear form, unless it is dropped.  A row at w is fed by
-        d(b) at w - index(a), by d(a) at w - index(b) and, when a*b has a
-        noncentral term, by d(a*b) at w itself.
-        """
-        admit = rule(a, b)
-        if admit is not None:
-            yield leibniz_parts(mul, d.__getitem__, a, b), admit
-
     # The first-slot identity at (x, y, z) is the Leibniz rule of f(., z)
-    # at (x, y), the second-slot one that of f(x, .) at (y, z).  On an
+    # at (x, y), the second-slot one that of f(x, .) at (y, z), each an
+    # instance unless ``rule`` drops it.  A row at w of the rule at (a, b)
+    # for d is fed by d(b) at w - index(a), by d(a) at w - index(b) and,
+    # when a*b has a noncentral term, by d(a*b) at w itself.  On an
     # antisymmetric product the later twin, (y, x, z) or (x, z, y), only
     # negates these rows.
     twins = product.antisymmetric
     for x in domain:
         for y in domain:
             for z in domain:
-                if not (twins and y <= x):
-                    yield from leibniz(x, y, right[z])
-                if not (twins and z <= y):
-                    yield from leibniz(y, z, left[x])
+                if not (twins and y <= x) and (admit := rule(x, y)) is not None:
+                    yield leibniz_parts(mul, right[z].__getitem__, x, y), admit
+                if not (twins and z <= y) and (admit := rule(y, z)) is not None:
+                    yield leibniz_parts(mul, left[x].__getitem__, y, z), admit
 
 
 def interior_projection(space: SolutionSpace, n_int: int) -> SolutionSpace:
