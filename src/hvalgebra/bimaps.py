@@ -307,10 +307,10 @@ def solve_biderivations(
 
 
 def _biderivation_system(product, n_max, out_bound, degree, registry):
-    """The Leibniz instances of ``solve_biderivations``, over unknowns
-    added to ``registry``.  The linear forms and the per-solve caches die
-    with the generator once its last instance is read, before
-    elimination."""
+    """The Leibniz instances of ``solve_biderivations``, as a generator,
+    over unknowns added to ``registry`` before it is returned.  The
+    linear forms and the per-solve caches die with the generator once its
+    last instance is read."""
     domain = product.window_keys(n_max, central=False)
     out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(product, s, out_bound, degree))
     # f(p, q) as a linear form in its unknowns; a central argument reads 0
@@ -345,13 +345,17 @@ def _biderivation_system(product, n_max, out_bound, degree, registry):
     # antisymmetric product the later twin, (y, x, z) or (x, z, y), only
     # negates these rows.
     twins = product.antisymmetric
-    for x in domain:
-        for y in domain:
-            for z in domain:
-                if not (twins and y <= x) and (admit := rule(x, y)) is not None:
-                    yield leibniz_parts(mul, right[z].__getitem__, x, y), admit
-                if not (twins and z <= y) and (admit := rule(y, z)) is not None:
-                    yield leibniz_parts(mul, left[x].__getitem__, y, z), admit
+
+    def instances():
+        for x in domain:
+            for y in domain:
+                for z in domain:
+                    if not (twins and y <= x) and (admit := rule(x, y)) is not None:
+                        yield leibniz_parts(mul, right[z].__getitem__, x, y), admit
+                    if not (twins and z <= y) and (admit := rule(y, z)) is not None:
+                        yield leibniz_parts(mul, left[x].__getitem__, y, z), admit
+
+    return instances()
 
 
 def interior_projection(space: SolutionSpace, n_int: int) -> SolutionSpace:

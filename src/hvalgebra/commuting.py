@@ -75,19 +75,23 @@ def solve_commuting(window: Window) -> SolutionSpace:
 
 
 def _commuting_system(n_max, out_bound, registry):
-    """The polarized instances of ``solve_commuting``, over unknowns added
-    to ``registry``; the linear forms and the cache die with the generator
-    once its last instance is read."""
+    """The polarized instances of ``solve_commuting``, as a generator, over
+    unknowns added to ``registry`` before it is returned; the linear
+    forms and the cache die with the generator once its last instance is
+    read."""
     domain = LIE_HV.window_keys(n_max)
     out_keys = LIE_HV.window_keys(out_bound)
     phi = {b: {u: registry.add(("phi", b, u)) for u in out_keys} for b in domain}
     mul = plain_values(LIE_HV.mul_keys)
 
-    for i, a in enumerate(domain):
-        for b in domain[i:]:
-            near = [k.index for k in (a, b) if not k.is_central]
-            if near:  # else both arguments central: no bracket term survives
-                yield polarized_parts(mul, phi.__getitem__, a, b), admission(near, out_bound)
+    def instances():
+        for i, a in enumerate(domain):
+            for b in domain[i:]:
+                near = [k.index for k in (a, b) if not k.is_central]
+                if near:  # else both arguments central: no bracket term survives
+                    yield polarized_parts(mul, phi.__getitem__, a, b), admission(near, out_bound)
+
+    return instances()
 
 
 def generator_span(space: SolutionSpace, n_int: int) -> SolutionSpace:

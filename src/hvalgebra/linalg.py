@@ -13,15 +13,19 @@ form (RREF with leading ones and pivots in increasing variable order),
 so two computations of the same span produce identical representations
 and every report built on top is byte-stable.  Only that answer divides
 by the leads.  As the form is unique, ``rref`` picks its order of work:
-rows by decreasing lead column, with an index of the pivot rows holding
-each column.  A solver's rows come from ``admitted_rows``, the only row
-builder, which leaves out columns pinned to zero.
+it reads any iterable of rows in fixed-size batches, each by decreasing
+lead column, with an index of the pivot rows holding each column.  A
+solver's rows come from ``admitted_rows``, the only row builder, which
+leaves out columns pinned to zero and yields each row as it is built:
+a solve streams from identity instance to pivot row, and holds only the
+pivot rows and one batch.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import IncompatibleSpaces, InfeasibleWindow
@@ -142,15 +146,24 @@ def _primitive(row: dict) -> None:
         row[c] = v // g
 
 
+# Rows ``rref`` sorts and holds at once.  Larger batches hold more rows of
+# a stream that mostly reduces to zero; arrival order (batches of one)
+# loses the sort's speed.
+_BATCH = 256
+
+
 def rref(rows) -> list:
     """Reduced row echelon form of an iterable of sparse rows.
 
     Deterministic and canonical: the result depends only on the row span,
-    so rows go in decreasing order of lead (minimum) column, and most new
-    pivots lead left of every pivot row, which then cannot hold their
-    column.  ``holders`` maps a column to the pivots whose rows held it;
-    an entry goes stale when the column cancels, so it is checked.  Pivot
-    selection always takes the smallest variable id.
+    so ``rref`` reads the rows in batches of ``_BATCH`` and takes each
+    batch in decreasing order of lead (minimum) column: most new pivots
+    lead left of every pivot row, which then cannot hold their column.
+    Only the pivot rows and one batch are held, so a stream of rows that
+    mostly reduce to zero is never held whole.  ``holders`` maps a column
+    to the pivots whose rows held it; an entry goes stale when the column
+    cancels, so it is checked.  Pivot selection always takes the smallest
+    variable id.
 
     Elimination is fraction-free.  Each row is scaled to Gaussian integers
     when it is taken (ints where real, ``_Gaussian`` where not) and reduced
@@ -162,33 +175,36 @@ def rref(rows) -> list:
     """
     pivots = {}
     holders = {}
-    for row in sorted(rows, key=lambda r: min(r, default=-1), reverse=True):
-        if all(type(v) is int for v in row.values()):
-            row = dict(row)
-        else:
-            row = {c: _gaussian(re, im) for c, re, im in gaussian_integers(row.items())[1]}
-        row = _reduce(row, pivots)
-        if not row:
-            continue
-        col = min(row)
-        lead = row[col]
-        if type(lead) is _Gaussian:
-            conj = _Gaussian(lead.re, -lead.im)
-            for c, v in row.items():
-                row[c] = conj * v
-        elif lead < 0:
-            for c, v in row.items():
-                row[c] = -v
-        _primitive(row)
-        touched = [p for p in holders.pop(col, ()) if col in pivots[p]]
-        for p in touched:
-            _eliminate(pivots[p], col, row)
-            _primitive(pivots[p])
-        touched.append(col)
-        for c in row:
-            if c != col:
-                holders.setdefault(c, set()).update(touched)
-        pivots[col] = row
+    rows = iter(rows)
+    while batch := sorted(islice(rows, _BATCH), key=lambda r: min(r, default=-1)):
+        while batch:
+            row = batch.pop()  # the batch's highest lead column
+            if all(type(v) is int for v in row.values()):
+                row = dict(row)
+            else:
+                row = {c: _gaussian(re, im) for c, re, im in gaussian_integers(row.items())[1]}
+            row = _reduce(row, pivots)
+            if not row:
+                continue
+            col = min(row)
+            lead = row[col]
+            if type(lead) is _Gaussian:
+                conj = _Gaussian(lead.re, -lead.im)
+                for c, v in row.items():
+                    row[c] = conj * v
+            elif lead < 0:
+                for c, v in row.items():
+                    row[c] = -v
+            _primitive(row)
+            touched = [p for p in holders.pop(col, ()) if col in pivots[p]]
+            for p in touched:
+                _eliminate(pivots[p], col, row)
+                _primitive(pivots[p])
+            touched.append(col)
+            for c in row:
+                if c != col:
+                    holders.setdefault(c, set()).update(touched)
+            pivots[col] = row
     return [_leading_one(col, pivots[col]) for col in sorted(pivots)]
 
 
@@ -209,7 +225,10 @@ def _leading_one(col: int, row: dict) -> dict:
 def nullspace(rows, ncols: int) -> list:
     """Canonical basis of the solution set of ``rows * v = 0``.
 
-    The standard free-variable basis is re-canonicalized with rref so the
+    ``rows`` may be any iterable, a solver's stream of admitted rows
+    included: the first ``rref`` reads it to its end, holding only pivot
+    rows and one batch.  ``ncols`` must be known before that.  The
+    standard free-variable basis is re-canonicalized with rref so the
     returned vectors have leading ones at increasing variable ids.  Only
     the free columns get a vector, one dict per solution rather than one
     per column, and the pivot rows are dropped before the vectors are
@@ -244,9 +263,10 @@ def solve_affine(rows, nvars: int):
     return solution
 
 
-def admitted_rows(instances) -> list:
-    """The constraint rows of one windowed solve, from its identity
-    instances, each a pair ``(parts, admit)``.
+def admitted_rows(instances):
+    """Yield the constraint rows of one windowed solve, from its identity
+    instances, each a pair ``(parts, admit)``.  The rows are a stream:
+    each is yielded as its instance is read, and none is held after.
 
     An instance adds the negated sum of its ``(sign, value, read)`` parts,
     sign 1 or -1, the shape ``linmaps.gaussian_sum`` sums, as one sparse
@@ -264,9 +284,10 @@ def admitted_rows(instances) -> list:
     read, so a later row may shrink to one entry and pin its own column,
     or to nothing and not be kept.  Each kept row differs from the one
     the instance built by multiples of rows kept before, so the row span,
-    and with it every canonical answer, is that of the built rows.
+    and with it every canonical answer, is that of the built rows.  When
+    the stream ends with no row kept, it raises ``InfeasibleWindow``.
     """
-    rows = []
+    kept = False
     pinned = set()
 
     def add(coord, col, value):
@@ -301,10 +322,10 @@ def admitted_rows(instances) -> list:
                 if col in pinned:
                     continue
                 pinned.add(col)
-            rows.append(row)
-    if not rows:
+            kept = True
+            yield row
+    if not kept:
         raise InfeasibleWindow("no admissible constraint rows on this window")
-    return rows
 
 
 class SolutionSpace:

@@ -442,7 +442,7 @@ def test_twin_skip_halves_the_instances_and_keeps_the_row_span(monkeypatch):
                 counts[-1] += 1
                 yield instance
 
-        kept.append(original(each()))
+        kept.append(list(original(each())))
         return kept[-1]
 
     monkeypatch.setattr(linalg, "admitted_rows", counted)

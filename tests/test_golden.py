@@ -283,6 +283,7 @@ def test_elimination_rows_digest(monkeypatch):
     original = linalg.nullspace
 
     def record(rows, ncols):
+        rows = list(rows)
         _record_rows(digest, rows, ncols)
         return original(rows, ncols)
 
@@ -307,10 +308,12 @@ def test_commuting_and_decomposition_rows_digest(monkeypatch):
     nullspace, solve_affine = linalg.nullspace, linalg.solve_affine
 
     def record_nullspace(rows, ncols):
+        rows = list(rows)
         _record_rows(digest, rows, ncols)
         return nullspace(rows, ncols)
 
     def record_solve_affine(rows, nvars):
+        rows = list(rows)
         _record_rows(digest, rows, nvars)
         return solve_affine(rows, nvars)
 

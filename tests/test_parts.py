@@ -48,7 +48,7 @@ def instance_rows(parts) -> dict:
     per assembly, so that no pin drops a row."""
     coords = []
     with pytest.raises(InfeasibleWindow):
-        admitted_rows([(parts, coords.append)])  # admits nothing, records every coordinate
+        list(admitted_rows([(parts, coords.append)]))  # admits nothing, records every coordinate
     rows = {}
     for w in coords:
         (rows[w],) = admitted_rows([(parts, w.__eq__)])
