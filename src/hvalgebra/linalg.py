@@ -13,12 +13,11 @@ form (RREF with leading ones and pivots in increasing variable order),
 so two computations of the same span produce identical representations
 and every report built on top is byte-stable.  Only that answer divides
 by the leads.  As the form is unique, ``rref`` picks its order of work:
-it reads any iterable of rows in fixed-size batches, each by decreasing
-lead column, with an index of the pivot rows holding each column.  A
-solver's rows come from ``admitted_rows``, the only row builder, which
-leaves out columns pinned to zero and yields each row as it is built:
-a solve streams from identity instance to pivot row, and holds only the
-pivot rows and one batch.
+batches of rows from any iterable, each by decreasing lead column, with
+an index of the pivot rows holding each column.  A solver's rows come
+from ``admitted_rows``, the only row builder, which leaves out columns
+pinned to zero and yields each row as it is built, so a solve holds
+only the pivot rows and one batch.
 """
 
 from __future__ import annotations
@@ -146,10 +145,7 @@ def _primitive(row: dict) -> None:
         row[c] = v // g
 
 
-# Rows ``rref`` sorts and holds at once.  Larger batches hold more rows of
-# a stream that mostly reduces to zero; arrival order (batches of one)
-# loses the sort's speed.
-_BATCH = 256
+_BATCH = 256  # rows rref sorts and holds at once, chosen by measurement
 
 
 def rref(rows) -> list:
@@ -225,14 +221,12 @@ def _leading_one(col: int, row: dict) -> dict:
 def nullspace(rows, ncols: int) -> list:
     """Canonical basis of the solution set of ``rows * v = 0``.
 
-    ``rows`` may be any iterable, a solver's stream of admitted rows
-    included: the first ``rref`` reads it to its end, holding only pivot
-    rows and one batch.  ``ncols`` must be known before that.  The
-    standard free-variable basis is re-canonicalized with rref so the
-    returned vectors have leading ones at increasing variable ids.  Only
-    the free columns get a vector, one dict per solution rather than one
-    per column, and the pivot rows are dropped before the vectors are
-    re-canonicalized.
+    ``rows`` may be any iterable, such as a solver's stream of rows,
+    which the first ``rref`` reads to its end.  The standard free-variable
+    basis is re-canonicalized with rref so the returned vectors have
+    leading ones at increasing variable ids.  Only the free columns get a
+    vector, one dict per solution rather than one per column, and the
+    pivot rows are dropped before the vectors are re-canonicalized.
     """
     pivots = {min(prow): prow for prow in rref(rows)}
     vectors = {free: {free: 1} for free in range(ncols) if free not in pivots}

@@ -662,12 +662,13 @@ def test_assembly_state_is_freed_at_the_end_of_the_stream(solve, monkeypatch):
     # tracebacks
     assembly = ("_biderivation_system.", "_commuting_system.", "plain_values.")
     live = []
-    calls = []
+    calls = 0
     original = linalg.rref
 
     def spy(rows):
-        calls.append(rows)
-        if len(calls) == 2:
+        nonlocal calls
+        calls += 1
+        if calls == 2:
             gc.collect()
             live.extend(
                 f.__qualname__
@@ -678,7 +679,7 @@ def test_assembly_state_is_freed_at_the_end_of_the_stream(solve, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", spy)
     solve()
-    assert len(calls) >= 2 and live == []
+    assert calls >= 2 and live == []
 
 
 def test_nullspace_holds_a_stream_of_rows_that_vanish_in_bounded_memory():
