@@ -5,19 +5,23 @@ ids to nonzero numbers), linear forms, the answers of ``rref``,
 ``nullspace`` and ``solve_affine`` and ``SolutionSpace`` bases hold plain
 numbers, an int or a Fraction where real and a Scalar only where not.
 Only the algebra layer (``Element``, ``linmaps.Decomposition``) makes
-Scalars.  ``rref``, the one elimination routine, is fraction-free: it
-scales each row to Gaussian integers as it takes it (ints where real)
-and keeps every pivot row primitive with a positive integer lead, so
-elimination multiplies and adds integers.  Its answer is the canonical
-form (RREF with leading ones and pivots in increasing variable order),
-so two computations of the same span produce identical representations
-and every report built on top is byte-stable.  Only that answer divides
-by the leads.  As the form is unique, ``rref`` picks its order of work:
-batches of rows from any iterable, each by decreasing lead column, with
-an index of the pivot rows holding each column.  A solver's rows come
-from ``admitted_rows``, the only row builder, which leaves out columns
-pinned to zero and yields each row as it is built, so a solve holds
-only the pivot rows and one batch.
+Scalars.  ``_echelon``, the one elimination routine, behind ``rref`` and
+``nullspace``, is fraction-free: it scales each row to Gaussian integers
+as it takes it (ints where real) and keeps every pivot row primitive with
+a positive integer lead, so elimination multiplies and adds integers.  A
+row that reduces to one entry proves its column zero: the column is
+marked None among the pivots and deleted from every pivot row, so a pivot
+row holds, besides its lead, only free columns.  ``rref`` answers the
+canonical form (RREF with leading ones and pivots in increasing variable
+order, a zero column as the row ``{c: 1}``), so two computations of the
+same span produce identical representations and every report built on
+top is byte-stable.  Only that answer divides by the leads.  As the form
+is unique, the elimination picks its order of work: batches of rows from
+any iterable, each by decreasing lead column, with an index of the pivot
+rows holding each column.  A solver's rows come from ``admitted_rows``,
+the only row builder, which leaves out columns pinned to zero and yields
+each row as it is built, so a solve holds only the pivot rows and one
+batch.
 """
 
 from __future__ import annotations
@@ -121,15 +125,19 @@ def _eliminate(row: dict, col: int, pivot: dict) -> None:
 
 
 def _reduce(row: dict, pivots: dict) -> dict:
-    """Eliminate every pivot column from ``row``, in place.
+    """Eliminate every pivot column from ``row``, in place, and delete each
+    column that ``pivots`` maps to None, a column proved zero.
 
-    Pivot rows hold, besides their pivot, only free columns, so one pass
-    in increasing column order terminates.
+    Pivot rows hold, besides their pivot, only free columns, never a zero
+    column, so one pass in increasing column order terminates.
     """
     for col in sorted(row):
-        pivot = pivots.get(col)
-        if pivot is not None and col in row:
-            _eliminate(row, col, pivot)
+        if col in pivots:
+            pivot = pivots[col]
+            if pivot is None:
+                del row[col]
+            elif col in row:
+                _eliminate(row, col, pivot)
     return row
 
 
@@ -145,32 +153,46 @@ def _primitive(row: dict) -> None:
         row[c] = v // g
 
 
-_BATCH = 256  # rows rref sorts and holds at once, chosen by measurement
+_BATCH = 256  # rows _echelon sorts and holds at once, chosen by measurement
 
 
-def rref(rows) -> list:
-    """Reduced row echelon form of an iterable of sparse rows.
+def _echelon(rows) -> dict:
+    """The one elimination routine: a map from each lead column of the
+    rows' span to its pivot row, which holds at least two entries, or to
+    None for a column the rows prove zero.
 
-    Deterministic and canonical: the result depends only on the row span,
-    so ``rref`` reads the rows in batches of ``_BATCH`` and takes each
-    batch in decreasing order of lead (minimum) column: most new pivots
-    lead left of every pivot row, which then cannot hold their column.
-    Only the pivot rows and one batch are held, so a stream of rows that
-    mostly reduce to zero is never held whole.  ``holders`` maps a column
-    to the pivots whose rows held it; an entry goes stale when the column
-    cancels, so it is checked.  Pivot selection always takes the smallest
-    variable id.
+    The rows are read in batches of ``_BATCH``, each taken in decreasing
+    order of lead (minimum) column: most new pivots lead left of every
+    pivot row, which then cannot hold their column.  Only the pivot rows
+    and one batch are held, so a stream of rows that mostly reduce to zero
+    is never held whole.  ``holders`` maps a column to the pivots whose
+    rows held it; an entry goes stale when the column cancels or its pivot
+    row leaves, so it is checked.  A row that reduces to one entry proves
+    its column zero, which is deleted from the pivot rows that hold it; a
+    pivot row left with its lead alone proves its lead zero too.  No pivot
+    row holds a pivot column, so that ends there, and pivot rows hold,
+    besides their lead, only free columns.
 
     Elimination is fraction-free.  Each row is scaled to Gaussian integers
     when it is taken (ints where real, ``_Gaussian`` where not) and reduced
     by ``row = lead*row - f*pivot`` with common integer factors divided
     out first.  A pivot row is kept primitive with a positive integer
     lead: a non-real lead is made real by multiplying the row with its
-    conjugate.  Only the answer divides by the lead, so the rows come back
-    with leading ones, in plain numbers.  The input rows are never mutated.
+    conjugate.  The input rows are never mutated.
     """
     pivots = {}
     holders = {}
+
+    def settle(p):
+        """Prove column ``p`` zero if its pivot row holds only its lead,
+        else keep the row primitive; true when it stays a pivot row."""
+        prow = pivots[p]
+        if len(prow) == 1:
+            pivots[p] = None
+            return False
+        _primitive(prow)
+        return True
+
     rows = iter(rows)
     while batch := sorted(islice(rows, _BATCH), key=lambda r: min(r, default=-1)):
         while batch:
@@ -183,6 +205,14 @@ def rref(rows) -> list:
             if not row:
                 continue
             col = min(row)
+            if len(row) == 1:
+                pivots[col] = None
+                for p in holders.pop(col, ()):
+                    prow = pivots[p]
+                    if prow is not None and col in prow:
+                        del prow[col]
+                        settle(p)
+                continue
             lead = row[col]
             if type(lead) is _Gaussian:
                 conj = _Gaussian(lead.re, -lead.im)
@@ -192,16 +222,31 @@ def rref(rows) -> list:
                 for c, v in row.items():
                     row[c] = -v
             _primitive(row)
-            touched = [p for p in holders.pop(col, ()) if col in pivots[p]]
-            for p in touched:
-                _eliminate(pivots[p], col, row)
-                _primitive(pivots[p])
-            touched.append(col)
+            touched = [col]
+            for p in holders.pop(col, ()):
+                prow = pivots[p]
+                if prow is not None and col in prow:
+                    _eliminate(prow, col, row)
+                    if settle(p):
+                        touched.append(p)
             for c in row:
                 if c != col:
                     holders.setdefault(c, set()).update(touched)
             pivots[col] = row
-    return [_leading_one(col, pivots[col]) for col in sorted(pivots)]
+    return pivots
+
+
+def rref(rows) -> list:
+    """Reduced row echelon form of an iterable of sparse rows, canonical:
+    it depends only on the row span.  Each pivot row of ``_echelon`` is
+    divided by its lead and each zero column ``c`` is the row ``{c: 1}``,
+    in column order, in plain numbers.  The input rows are never mutated.
+    """
+    pivots = _echelon(rows)
+    return [
+        {col: 1} if pivots[col] is None else _leading_one(col, pivots[col])
+        for col in sorted(pivots)
+    ]
 
 
 def _leading_one(col: int, row: dict) -> dict:
@@ -222,18 +267,20 @@ def nullspace(rows, ncols: int) -> list:
     """Canonical basis of the solution set of ``rows * v = 0``.
 
     ``rows`` may be any iterable, such as a solver's stream of rows,
-    which the first ``rref`` reads to its end.  The standard free-variable
-    basis is re-canonicalized with rref so the returned vectors have
-    leading ones at increasing variable ids.  Only the free columns get a
-    vector, one dict per solution rather than one per column, and the
-    pivot rows are dropped before the vectors are re-canonicalized.
+    which ``_echelon`` reads to its end.  The standard free-variable
+    basis is built from the pivot rows: only the columns that are neither
+    pivots nor proved zero get a vector, one dict per solution rather than
+    one per column.  The pivot rows are dropped before the vectors are
+    re-canonicalized with rref, so the returned vectors have leading ones
+    at increasing variable ids.
     """
-    pivots = {min(prow): prow for prow in rref(rows)}
+    pivots = _echelon(rows)
     vectors = {free: {free: 1} for free in range(ncols) if free not in pivots}
-    for pcol, prow in pivots.items():
-        for free, coeff in prow.items():
-            if free != pcol:
-                vectors[free][pcol] = -coeff
+    for pcol in sorted(pivots):
+        if pivots[pcol] is not None:
+            for free, coeff in _leading_one(pcol, pivots[pcol]).items():
+                if free != pcol:
+                    vectors[free][pcol] = -coeff
     del pivots
     return rref(vectors.values())
 

@@ -320,6 +320,114 @@ def test_rref_skips_a_column_that_cancelled_out_of_an_indexed_pivot_row():
     assert nullspace(rows, 4) == [{1: 1}]
 
 
+def test_a_unit_row_in_a_later_batch_zeroes_its_column_in_earlier_pivot_rows():
+    # the first batch leaves pivot rows at 0, 1 and 2 (its other rows are
+    # multiples of them); in the second, {5: 7} zeroes column 5, which
+    # leaves the pivot row at 0 its lead alone, the pivot at 3 clears the
+    # row at 2 down to its lead, and the last row hits the zeroed lead 0
+    first = [{0: 1, 5: 2}, {1: 1, 4: 1, 5: 3}, {2: 1, 3: 1, 4: 1}]
+    rows = [
+        {c: (k % 5 + 1) * v for c, v in first[k % 3].items()}
+        for k in range(linalg._BATCH)
+    ]
+    rows += [{0: 3, 4: 1, 6: 1}, {5: 7}, {3: 1, 4: 1}]
+    # a zero column maps to None
+    assert linalg._echelon(rows) == {
+        0: None, 1: {1: 1, 6: -1}, 2: None, 3: {3: 1, 6: -1}, 4: {4: 1, 6: 1}, 5: None
+    }
+    reduced = _check_against_the_dense_oracle(rows, 7)
+    assert reduced[0] == {0: 1} and reduced[2] == {2: 1} and reduced[5] == {5: 1}
+    assert nullspace(rows, 7) == [{1: 1, 3: 1, 4: -1, 6: 1}]
+
+
+def test_a_pivot_row_left_with_its_lead_is_a_zero_column():
+    # one batch, popped from the last row: the pivot row {1: 1, 3: 1}
+    # loses column 3 to the next row, which reduces to {3: 1}, so its lead
+    # is proved zero, and the first row then hits that lead
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 3: 2}, {1: 1, 3: 1}]
+    assert linalg._echelon(rows) == {0: {0: 1, 2: 1}, 1: None, 3: None}
+    assert _check_against_the_dense_oracle(rows, 4) == [{0: 1, 2: 1}, {1: 1}, {3: 1}]
+    assert nullspace(rows, 4) == [{0: 1, 2: -1}]
+
+
+def test_non_real_rows_mixed_with_unit_rows_match_the_dense_oracle():
+    rows = [
+        {0: Scalar(1, 1), 2: Scalar(0, 1), 3: 1},
+        {1: Scalar(2, -1), 2: 1, 4: Fraction(1, 2)},
+        {2: Scalar(0, 3)},
+        {0: 2, 3: Scalar(1, -1)},
+        {4: Scalar(1, 1), 5: 1},
+    ]
+    reduced = _check_against_the_dense_oracle(rows, 6)
+    assert {2: 1} in reduced
+    assert reduced == rref([{2: 1}] + rows)
+
+
+@st.composite
+def _systems_with_unit_rows(draw):
+    """A mixed system with single-entry rows, non-real ones among them,
+    put anywhere in the row order."""
+    rows, ncols = draw(_mixed_systems())
+    units = draw(
+        st.lists(
+            st.builds(lambda c, v: {c: v}, st.integers(0, ncols - 1), _entries.filter(bool)),
+            max_size=3,
+        )
+    )
+    for unit in units:
+        rows.insert(draw(st.integers(0, len(rows))), unit)
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems_with_unit_rows(), st.sampled_from([1, 2, 3, 256]))
+def test_unit_rows_in_any_batch_match_the_dense_oracle(system, batch):
+    # small batches make a unit row arrive after the rows holding its column
+    rows, ncols = system
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BATCH", batch)
+        _check_against_the_dense_oracle(rows, ncols)
+
+
+def test_solve_affine_is_inconsistent_when_a_row_reduces_to_the_constant():
+    # {1: 5} zeroes column 1, so the middle row becomes the pivot
+    # {0: 1, 2: 1}, and {0: 1} reduces against it to the constant column
+    rows = [{0: 1}, {0: 1, 1: 1, 2: 1}, {1: 5}]
+    assert _check_against_the_dense_oracle(rows, 3)[-1] == {2: 1}
+    assert solve_affine(rows, 2) is None
+    # the same constant column proved zero in a later batch
+    rows = [{0: 1, 2: 1}] * linalg._BATCH + [{0: 2, 1: 1, 2: 3}, {1: 1}]
+    assert _check_against_the_dense_oracle(rows, 3)[-1] == {2: 1}
+    assert solve_affine(rows, 2) is None
+    assert solve_affine(rows[:-1], 2) == {0: -1, 1: -1}
+
+
+def test_solution_space_with_unit_vectors_reduces_like_the_dense_oracle():
+    reg = VarRegistry()
+    for name in "abcdef":
+        reg.add(name)
+    vectors = [{0: 1}, {1: 1, 3: 2}, {2: Scalar(0, 1)}, {3: 1, 4: 1}, {0: 3, 5: 2}]
+    space = SolutionSpace(reg, vectors)
+    assert space.basis == _check_against_the_dense_oracle(vectors, 6)
+    assert [row for row in space.basis if len(row) == 1] == [{0: 1}, {2: 1}, {5: 1}]
+    rank = len(_dense_rref([_to_dense(v, 6) for v in vectors], 6))
+    for vector in (
+        {0: 5, 2: Scalar(1, 1), 1: 1, 3: 2},
+        {4: Fraction(1, 3)},
+        {0: 1, 5: 1},
+        {2: 1, 5: Scalar(0, -1)},
+        {1: 1, 4: -2},
+        {3: 1},
+    ):
+        dense = [_to_dense(v, 6) for v in vectors + [vector]]
+        inside = len(_dense_rref(dense, 6)) == rank
+        assert space.contains(vector) is inside
+        residual = space.reduce(vector)
+        assert bool(residual) is not inside
+        # only the free column 4 is left
+        assert all(c == 4 for c in residual)
+
+
 def test_rref_answers_an_int_where_the_lead_divides_the_entry():
     (row,) = rref([{0: 2, 1: 4, 2: 3}])
     assert row == {0: 1, 1: 2, 2: Fraction(3, 2)}
@@ -656,28 +764,29 @@ def test_add_parts_adds_the_negated_sum_in_both_part_shapes():
 )
 def test_assembly_state_is_freed_at_the_end_of_the_stream(solve, monkeypatch):
     # the assembly's closures and its plain_values cache, and with them the
-    # linear forms, are gone once the first rref has read the last row:
-    # checked when nullspace calls rref the second time, on its vectors;
-    # collecting first clears cycles that earlier tests left, such as
-    # tracebacks
+    # linear forms, are gone once elimination has read the last row:
+    # checked when nullspace's elimination of the stream returns, before
+    # its vectors are built and re-canonicalized; collecting first clears
+    # cycles that earlier tests left, such as tracebacks
     assembly = ("_biderivation_system.", "_commuting_system.", "plain_values.")
     live = []
     calls = 0
-    original = linalg.rref
+    original = linalg._echelon
 
     def spy(rows):
         nonlocal calls
         calls += 1
-        if calls == 2:
+        answer = original(rows)
+        if calls == 1:
             gc.collect()
             live.extend(
                 f.__qualname__
                 for f in gc.get_objects()
                 if type(f) is FunctionType and f.__qualname__.startswith(assembly)
             )
-        return original(rows)
+        return answer
 
-    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(linalg, "_echelon", spy)
     solve()
     assert calls >= 2 and live == []
 
@@ -697,6 +806,26 @@ def test_nullspace_holds_a_stream_of_rows_that_vanish_in_bounded_memory():
 
     small, large = peak(1_000), peak(10_000)
     assert large < 1.5 * small, (small, large)
+
+
+def test_ungraded_elimination_takes_fewer_steps_than_one_sorted_pass():
+    # ungraded lie-w00 W4/ob8 took 62,492 elimination steps when rref
+    # sorted every admitted row at once, and 78,406 in batches that kept a
+    # pivot row for each proved-zero column; the zero-column index must
+    # stay below the one-sort count
+    steps = 0
+    original = linalg._eliminate
+
+    def count(row, col, pivot):
+        nonlocal steps
+        steps += 1
+        original(row, col, pivot)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_eliminate", count)
+        space = solve_biderivations(LIE_W00, Window(4), 8)
+    assert space.dimension == 182
+    assert steps < 62_492, steps
 
 
 _GAUSSIAN_QUOTIENT = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)), quotient=True)
