@@ -303,7 +303,7 @@ def solve_biderivations(
     basis = linalg.nullspace(linalg.admitted_rows(instances), len(registry))
     meta = {"kind": "biderivation", "product": product, "n_max": n_max,
             "out_bound": out_bound, "degree": degree}
-    return SolutionSpace(registry, basis, meta=meta, canonical=True)
+    return SolutionSpace(registry, basis, meta=meta)
 
 
 def _biderivation_system(product, n_max, out_bound, degree, registry):

@@ -71,7 +71,7 @@ def solve_commuting(window: Window) -> SolutionSpace:
     instances = _commuting_system(n_max, out_bound, registry)
     basis = linalg.nullspace(linalg.admitted_rows(instances), len(registry))
     meta = {"kind": "commuting", "n_max": n_max, "out_bound": out_bound}
-    return SolutionSpace(registry, basis, meta=meta, canonical=True)
+    return SolutionSpace(registry, basis, meta=meta)
 
 
 def _commuting_system(n_max, out_bound, registry):

@@ -8,10 +8,11 @@ Only the algebra layer (``Element``, ``linmaps.Decomposition``) makes
 Scalars.  ``_echelon``, the one elimination routine, behind ``rref`` and
 ``nullspace``, is fraction-free: it scales each row to Gaussian integers
 as it takes it (ints where real) and keeps every pivot row primitive with
-a positive integer lead, so elimination multiplies and adds integers.  A
-row that reduces to one entry proves its column zero: the column is
-marked None among the pivots and deleted from every pivot row, so a pivot
-row holds, besides its lead, only free columns.  ``rref`` answers the
+a positive integer lead, so elimination multiplies and adds integers.
+Every reduced row takes one path: it clears its lead column from the
+pivot rows, and a row of one entry, ``{c: 1}``, proves its column zero,
+marked None among the pivots, so a pivot row holds, besides its lead,
+only free columns.  ``rref`` answers the
 canonical form (RREF with leading ones and pivots in increasing variable
 order, a zero column as the row ``{c: 1}``), so two computations of the
 same span produce identical representations and every report built on
@@ -126,7 +127,8 @@ def _eliminate(row: dict, col: int, pivot: dict) -> None:
 
 def _reduce(row: dict, pivots: dict) -> dict:
     """Eliminate every pivot column from ``row``, in place, and delete each
-    column that ``pivots`` maps to None, a column proved zero.
+    column that ``pivots`` maps to None, a column proved zero, as its unit
+    row ``{c: 1}`` would.
 
     Pivot rows hold, besides their pivot, only free columns, never a zero
     column, so one pass in increasing column order terminates.
@@ -167,11 +169,13 @@ def _echelon(rows) -> dict:
     and one batch are held, so a stream of rows that mostly reduce to zero
     is never held whole.  ``holders`` maps a column to the pivots whose
     rows held it; an entry goes stale when the column cancels or its pivot
-    row leaves, so it is checked.  A row that reduces to one entry proves
-    its column zero, which is deleted from the pivot rows that hold it; a
-    pivot row left with its lead alone proves its lead zero too.  No pivot
-    row holds a pivot column, so that ends there, and pivot rows hold,
-    besides their lead, only free columns.
+    row leaves, so it is checked.  Every reduced row, made primitive with
+    a positive lead, clears its lead column from each pivot row that holds
+    it and becomes that column's pivot row, or None when it holds its lead
+    alone: ``{c: 1}`` proves column c zero.  A pivot row cleared to its
+    lead alone proves its lead zero and becomes None too.  No pivot row
+    holds a pivot column, so that ends there, and pivot rows hold, besides
+    their lead, only free columns.
 
     Elimination is fraction-free.  Each row is scaled to Gaussian integers
     when it is taken (ints where real, ``_Gaussian`` where not) and reduced
@@ -182,17 +186,6 @@ def _echelon(rows) -> dict:
     """
     pivots = {}
     holders = {}
-
-    def settle(p):
-        """Prove column ``p`` zero if its pivot row holds only its lead,
-        else keep the row primitive; true when it stays a pivot row."""
-        prow = pivots[p]
-        if len(prow) == 1:
-            pivots[p] = None
-            return False
-        _primitive(prow)
-        return True
-
     rows = iter(rows)
     while batch := sorted(islice(rows, _BATCH), key=lambda r: min(r, default=-1)):
         while batch:
@@ -205,14 +198,6 @@ def _echelon(rows) -> dict:
             if not row:
                 continue
             col = min(row)
-            if len(row) == 1:
-                pivots[col] = None
-                for p in holders.pop(col, ()):
-                    prow = pivots[p]
-                    if prow is not None and col in prow:
-                        del prow[col]
-                        settle(p)
-                continue
             lead = row[col]
             if type(lead) is _Gaussian:
                 conj = _Gaussian(lead.re, -lead.im)
@@ -227,12 +212,15 @@ def _echelon(rows) -> dict:
                 prow = pivots[p]
                 if prow is not None and col in prow:
                     _eliminate(prow, col, row)
-                    if settle(p):
+                    if len(prow) == 1:
+                        pivots[p] = None
+                    else:
+                        _primitive(prow)
                         touched.append(p)
             for c in row:
                 if c != col:
                     holders.setdefault(c, set()).update(touched)
-            pivots[col] = row
+            pivots[col] = row if len(row) > 1 else None
     return pivots
 
 
@@ -370,27 +358,23 @@ def admitted_rows(instances):
 
 
 class SolutionSpace:
-    """Canonical (RREF) basis, in plain numbers, of a solved linear space,
-    tied to a registry."""
+    """Canonical (RREF) basis, in plain numbers, of the span of
+    ``vectors``, tied to a registry: every space canonicalises its input
+    with ``rref``, so spaces of one span hold equal bases."""
 
-    def __init__(self, registry: VarRegistry, vectors, meta=None, canonical=False):
+    def __init__(self, registry: VarRegistry, vectors, meta=None):
         self.registry = registry
-        self.basis = list(vectors) if canonical else rref(vectors)
+        self.basis = rref(vectors)
         self.meta = dict(meta or {})
-        self._pivots = None
+        self._pivots = {min(row): row for row in self.basis}
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def _pivot_rows(self):
-        if self._pivots is None:
-            self._pivots = {min(row): row for row in self.basis}
-        return self._pivots
-
     def reduce(self, vector: dict) -> dict:
         """Residual of ``vector`` after elimination against the basis."""
-        return _reduce(dict(vector), self._pivot_rows())
+        return _reduce(dict(vector), self._pivots)
 
     def contains(self, vector: dict) -> bool:
         return not self.reduce(vector)
