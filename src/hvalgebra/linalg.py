@@ -12,17 +12,16 @@ a positive integer lead, so elimination multiplies and adds integers.
 Every reduced row takes one path: it clears its lead column from the
 pivot rows, and a row of one entry, ``{c: 1}``, proves its column zero,
 marked None among the pivots, so a pivot row holds, besides its lead,
-only free columns.  ``rref`` answers the
-canonical form (RREF with leading ones and pivots in increasing variable
-order, a zero column as the row ``{c: 1}``), so two computations of the
-same span produce identical representations and every report built on
-top is byte-stable.  Only that answer divides by the leads.  As the form
-is unique, the elimination picks its order of work: batches of rows from
-any iterable, each by decreasing lead column, with an index of the pivot
-rows holding each column.  A solver's rows come from ``admitted_rows``,
-the only row builder, which leaves out columns pinned to zero and yields
-each row as it is built, so a solve holds only the pivot rows and one
-batch.
+only free columns.  ``rref`` answers the canonical form (RREF with
+leading ones and pivots in increasing variable order, a zero column as
+the row ``{c: 1}``), so two computations of the same span produce
+identical representations and every report built on top is byte-stable.
+Only that answer divides by the leads.  As the form is unique, the
+elimination picks its order of work: batches of rows from any iterable,
+each by decreasing lead column, with an index of the pivot rows holding
+each column.  A solver's rows come from ``admitted_rows``, the only row
+builder, which leaves out columns pinned to zero and yields each row as
+it is built, so a solve holds only the pivot rows and one batch.
 """
 
 from __future__ import annotations
