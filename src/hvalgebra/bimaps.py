@@ -26,7 +26,6 @@ from .core import (
     BasisKey,
     Element,
     I,
-    L,
     LieProduct,
     Product,
     bilinear_extension,
@@ -108,9 +107,6 @@ class Inner(BilinearMap):
     def eval_keys(self, product, a, b):
         return product.commutator_keys(a, b).scaled(self.coeff)
 
-    def __str__(self):
-        return f"inner({self.coeff})"
-
 
 class ROmega(BilinearMap):
     """The symmetric family supported on (L, L) pairs only:
@@ -127,9 +123,6 @@ class ROmega(BilinearMap):
             return Element.zero()
         s = a.index + b.index
         return Element({I(s + k): v for k, v in self.omega.items()})
-
-    def __str__(self):
-        return f"romega({self.omega})"
 
 
 class TabularBilinear(BilinearMap):
@@ -148,9 +141,6 @@ class TabularBilinear(BilinearMap):
             raise DomainNotCovered((a, b))
         return self.table.get((a, b), Element.zero())
 
-    def __str__(self):
-        return f"tabular({len(self.table)} pairs)"
-
 
 class SumBilinear(BilinearMap):
     def __init__(self, parts):
@@ -161,9 +151,6 @@ class SumBilinear(BilinearMap):
         for part in self.parts:
             out = out + part.eval_keys(product, a, b)
         return out
-
-    def __str__(self):
-        return " + ".join(str(p) for p in self.parts)
 
 
 class Classified(SumBilinear):
@@ -255,23 +242,17 @@ def central_annihilation(f: BilinearMap, product: Product, window: Window) -> Ch
 # ---------------------------------------------------------------------------
 
 
-def _out_keys(product: Product, s: int, out_bound: int, degree):
-    """Output keys available to a pair with index sum ``s``.
+def _out_keys(window, s: int, degree):
+    """Output keys available to a pair with index sum ``s``, read from
+    ``window``, the product's ``window_keys`` up to the output bound.
 
-    Graded mode: the single slice at index s+degree (plus the central
-    symbols when that index is zero).  Ungraded: the full span up to the
-    bound.  Keys are produced in canonical order.
+    Ungraded: the whole window.  Graded: its slice at index s+degree, with
+    the central symbols when that index is zero.  Keys keep window order.
     """
     if degree is None:
-        return product.window_keys(out_bound)
+        return window
     t = s + degree
-    keys = []
-    if abs(t) <= out_bound:
-        keys.append(L(t))
-        keys.append(I(t))
-    if product.has_central and t == 0:
-        keys.extend(CENTRAL_KEYS)
-    return keys
+    return tuple(k for k in window if (t == 0 if k.is_central else k.index == t))
 
 
 def solve_biderivations(
@@ -312,7 +293,8 @@ def _biderivation_system(product, n_max, out_bound, degree, registry):
     linear forms and the per-solve caches die with the generator once its
     last instance is read."""
     domain = product.window_keys(n_max, central=False)
-    out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(product, s, out_bound, degree))
+    window = product.window_keys(out_bound)
+    out_keys = lru_cache(maxsize=None)(lambda s: _out_keys(window, s, degree))
     # f(p, q) as a linear form in its unknowns; a central argument reads 0
     forms = {
         (p, q): {u: registry.add(("f", p, q, u)) for u in out_keys(p.index + q.index)}

@@ -52,9 +52,6 @@ class LeftSymParams(namedtuple("LeftSymParams", "alpha beta epsilon")):
     def _make(cls, iterable):  # _replace builds through _make
         return cls(*iterable)
 
-    def __str__(self):
-        return f"alpha={self.alpha}, beta={self.beta}, epsilon={self.epsilon}"
-
 
 def params_valid(params: LeftSymParams) -> bool:
     """Admissibility of epsilon: either Re > 0 with 1/epsilon not an

@@ -262,9 +262,6 @@ class InnerAd(LinearMap):
     def apply_key(self, key):
         return self.product.mul(self.x, Element.basis(key))
 
-    def __str__(self):
-        return f"ad({self.x})"
-
 
 class OuterDerivation(LinearMap):
     """One of the three outer derivations d1, d2, d3 (zero on centrals)."""
@@ -285,9 +282,6 @@ class OuterDerivation(LinearMap):
         factor = m - 1 if self.tag == "d2" else m
         return Element.basis(I(m), factor)
 
-    def __str__(self):
-        return self.tag
-
 
 D1 = OuterDerivation("d1")
 D2 = OuterDerivation("d2")
@@ -302,9 +296,6 @@ class ScalarId(LinearMap):
 
     def apply_key(self, key):
         return Element.basis(key, self.coeff)
-
-    def __str__(self):
-        return f"{self.coeff}*id"
 
 
 class CentralMap(LinearMap):
@@ -329,9 +320,6 @@ class CentralMap(LinearMap):
     def apply_key(self, key):
         return self.table.get(key, Element.zero())
 
-    def __str__(self):
-        return "central-table"
-
 
 class TabularMap(LinearMap):
     """A map recorded on the finite domain of basis keys its table names;
@@ -346,9 +334,6 @@ class TabularMap(LinearMap):
             raise DomainNotCovered(key)
         return self.table.get(key, Element.zero())
 
-    def __str__(self):
-        return f"tabular({len(self.domain)} keys)"
-
 
 class ScaledMap(LinearMap):
     def __init__(self, inner: LinearMap, coeff):
@@ -357,9 +342,6 @@ class ScaledMap(LinearMap):
 
     def apply_key(self, key):
         return self.inner.apply_key(key).scaled(self.coeff)
-
-    def __str__(self):
-        return f"{self.coeff}*({self.inner})"
 
 
 class SumMap(LinearMap):
@@ -371,9 +353,6 @@ class SumMap(LinearMap):
         for part in self.parts:
             out = out + part.apply_key(key)
         return out
-
-    def __str__(self):
-        return " + ".join(str(p) for p in self.parts)
 
 
 def tabulate(m: LinearMap, keys) -> TabularMap:

@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hvalgebra import linalg
 from hvalgebra.bimaps import (
+    BilinearMap,
     Classified,
     Inner,
     Omega,
@@ -63,6 +65,9 @@ def test_omega_normalization():
     assert om.offsets() == [-1, 0]
     assert str(om) == "{ -1: i, 0: 1 }"
     assert Omega({}).is_zero()
+    # equal tables hash equal, whichever exact numbers built them
+    assert hash(Omega({0: 1})) == hash(Omega({0: Fraction(1)}))
+    assert len({Omega({0: 1}), Omega({0: Fraction(1)})}) == 1
 
 
 def test_eval_examples():
@@ -77,6 +82,11 @@ def test_eval_examples():
     assert spread.eval_keys(LIE_HV, L(0), L(1)) == Element(
         {I(0): 2, I(4): Scalar(0, 1)}
     )
+
+
+def test_base_bilinear_map_has_no_values():
+    with pytest.raises(NotImplementedError):
+        BilinearMap().eval_keys(LIE_HV, L(0), L(1))
 
 
 def test_eval_is_bilinear():

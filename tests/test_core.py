@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hvalgebra.core import (
     Element,
     I,
     L,
+    Product,
     bracket_keys,
 )
 from hvalgebra.errors import IndexOverflow
@@ -156,6 +158,22 @@ def test_element_algebra():
     assert x.has_central_support()
     # I(0) spans the algebra's center but is an ordinary basis key
     assert not y.has_central_support()
+    twice = Element({L(1): 4, C2: -2})
+    assert Scalar(2) * x == twice and 2 * x == twice
+    assert x * Fraction(1, 2) == Element({L(1): 1, C2: Fraction(-1, 2)})
+    for op in (lambda: x * "a", lambda: x + 1, lambda: x - 1):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == 0) is False
+    # membership reads the support; it must not fall back to indexing
+    assert L(1) in x and C1 not in x
+    assert len(x) == 2
+    assert repr(x) == "<2*L(1) - C2>"
+
+
+def test_base_product_has_no_rule():
+    with pytest.raises(NotImplementedError):
+        Product().mul_keys(L(0), L(1))
 
 
 def test_basis_window_order_and_size():

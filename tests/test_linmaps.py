@@ -25,6 +25,7 @@ from hvalgebra.linmaps import (
     Counterexample,
     Decomposition,
     InnerAd,
+    LinearMap,
     OuterDerivation,
     ScalarId,
     ScaledMap,
@@ -111,6 +112,11 @@ def test_outer_derivation_values():
     assert D3.apply_key(L(0)).is_zero()
     for d in (D1, D2, D3):
         assert d.apply_key(C1).is_zero()
+
+
+def test_base_linear_map_has_no_values():
+    with pytest.raises(NotImplementedError):
+        LinearMap().apply_key(L(0))
 
 
 def test_only_three_outer_derivations_exist():

@@ -140,6 +140,8 @@ def test_expression_evaluation():
     assert _eval("[L(1), [L(1), I(-2)]]") == Element({I(0): 2, C2: -4})
     assert _eval("3*[L(1), L(2)] - 2*L(3)") == Element({L(3): -5})
     assert _eval("2i*I(1) + [I(3), I(-3)]") == Element({I(1): Scalar(0, 2), C3: 3})
+    with pytest.raises(ValueError, match="unknown expression node 'bogus'"):
+        evaluate_expression(("bogus",), LIE_HV)
 
 
 def test_dot_product_expressions():

@@ -21,6 +21,9 @@ def test_construction_and_coercion():
     assert Scalar.coerce(Fraction(-3, 4)) == Scalar(Fraction(-3, 4))
     assert ZERO.is_zero() and not ONE.is_zero()
     assert not ZERO and ONE
+    # floats are inexact, so no Scalar is made from one
+    with pytest.raises(TypeError, match="0.5"):
+        Scalar.coerce(0.5)
 
 
 def test_mixed_int_and_fraction_operands():
@@ -30,6 +33,22 @@ def test_mixed_int_and_fraction_operands():
     assert Fraction(1, 2) - Scalar(3) == Scalar(Fraction(-5, 2))
     assert Scalar(4) / 2 == Scalar(2)
     assert 1 / Scalar(0, 1) == Scalar(0, -1)
+    # any other operand is refused in either order, and is never equal
+    s = Scalar(1, 1)
+    for other in (0.5, "a"):
+        for op in (
+            lambda: s + other,
+            lambda: other + s,
+            lambda: s - other,
+            lambda: other - s,
+            lambda: s * other,
+            lambda: other * s,
+            lambda: s / other,
+            lambda: other / s,
+        ):
+            with pytest.raises(TypeError):
+                op()
+    assert (Scalar(1) == 0.5) is False
 
 
 def test_complex_multiplication():
