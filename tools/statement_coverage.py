@@ -92,7 +92,7 @@ def traced_run() -> tuple[dict, int]:
     in each package file and pytest's exit code."""
     import pytest
 
-    package = str(PACKAGE)
+    package = str(PACKAGE) + os.sep
     ran = {}
 
     def local(frame, event, arg):
