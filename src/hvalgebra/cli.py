@@ -23,7 +23,6 @@ from .linmaps import Window, decompose_derivation, is_derivation
 from .parsing import (
     evaluate_expression,
     parse_bilinear_map_file,
-    parse_expression,
     parse_linear_map_file,
     parse_scalar,
 )
@@ -75,12 +74,11 @@ def _finish_check(args, report) -> int:
 
 
 def _cmd_eval(args) -> int:
-    node = parse_expression(args.expr)
     lie = LIE[args.product]
     ls = None
     if args.epsilon is not None:
         ls = LeftSymProduct(_ls_params(args), quotient=not lie.has_central)
-    print(evaluate_expression(node, lie, ls))
+    print(evaluate_expression(args.expr, lie, ls))
     return 0
 
 

@@ -145,8 +145,8 @@ def admission(shifts, out_bound: int):
 
 
 def scaled_values(read):
-    """``read`` as a cache of ``scalars.gaussian_integers`` values: the one
-    way a checker reads a value.
+    """``read`` as a cache of ``scalars.gaussian_integers`` values, read by
+    every checker but ``central_annihilation``, which calls ``f.eval_keys``.
 
     ``read(*keys)`` returns an Element: a map's value on basis keys
     (``m.apply_key``, ``partial(f.eval_keys, product)``) or a structure

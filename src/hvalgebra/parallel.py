@@ -1,4 +1,5 @@
-"""The one ordered loop that every exhaustive checker runs its instances through.
+"""The ordered loop of ``linmaps.collect_report``; ``bimaps.symmetry_class``
+and ``leftsym.subadjacent_residual`` run their own loops.
 
 Checks and solves run serially: the work is pure-Python ``Fraction``
 arithmetic under the GIL, and a thread pool made it slower, not faster.

@@ -4,7 +4,7 @@ Scalar literals: ``3``, ``-3/2``, ``2i``, ``i``, ``(1-2i)``.  Elements
 are signed sums of terms ``[scalar *] basis`` with basis symbols
 ``L(n)``, ``I(n)``, ``C1``, ``C2``, ``C3``.  Eval expressions extend
 elements with the bracket ``[x, y]`` and the left-symmetric product
-``x o y`` (loosest binding, left associative).
+``x o y`` (loosest binding, left associative), evaluated as read.
 
 Linear map files hold lines ``KEY -> ELEMENT`` plus directives
 ``@inner ELEMENT``, ``@d1/@d2/@d3 SCALAR``, ``@id SCALAR`` and
@@ -36,9 +36,10 @@ from .linmaps import (
 )
 from .scalars import Scalar
 
-# The deepest expression tree parse_expression accepts.  The parser
-# recurses into brackets and evaluation into every level, so deeper input
-# is refused as it is read rather than left to exhaust the stack.
+# The deepest eval expression the parser accepts, in levels of brackets,
+# 'o' products, sums and scaled terms.  The parser recurses into every
+# bracket and multiplies out every 'o', so deeper input is refused as it is
+# read: neither the stack nor a chain's work grows past this bound.
 MAX_EXPRESSION_DEPTH = 200
 _TOO_DEEP = f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep"
 
@@ -65,11 +66,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, lie: LieProduct | None = None, ls_product=None):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.nesting = 0  # tree levels of the open brackets
-        self.height = 0  # tree height of the expression part parsed last
+        self.lie = lie  # the bracket '[x, y]'
+        self.ls_product = ls_product  # the 'o' product, if there is one
+        self.nesting = 0  # levels of the open brackets: bounds the recursion
+        self.height = 0  # levels of the part read last: bounds a chain's work
 
     def peek(self):
         return self.tokens[self.pos]
@@ -201,28 +204,36 @@ class _Parser:
 
     # -- eval expressions ---------------------------------------------------
 
-    def expression(self):
+    def expression(self) -> Element:
         """expr := additive ('o' additive)*, left associative."""
-        node = self.additive()
+        value = self.additive()
         height = self.height
         while self.peek()[0] == "name" and self.peek()[1] == "o":
+            if height >= MAX_EXPRESSION_DEPTH:  # checked before the product
+                self.fail(_TOO_DEEP)
+            if self.ls_product is None:
+                raise ValueError("the 'o' product needs left-symmetric parameters (--epsilon)")
             self.next()
-            node = ("dot", node, self.additive())
+            right = self.additive()
             height = max(height, self.height) + 1
+            value = self.ls_product.mul(value, right)
         if height > MAX_EXPRESSION_DEPTH:
             self.fail(_TOO_DEEP)
         self.height = height
-        return node
+        return value
 
-    def additive(self):
-        parts = self.terms(self.atom)
+    def additive(self) -> Element:
+        out = Element.zero()
+        for negate, coeff, value in self.terms(self.atom):
+            value = value.scaled(coeff)
+            out = out - value if negate else out + value
         self.height += 2  # the sum and its scaled terms
-        return ("sum", [(negate, ("scaled", c, node)) for negate, c, node in parts])
+        return out
 
-    def atom(self):
+    def atom(self) -> Element:
         if self.peek()[1] != "[":
             self.height = 1
-            return ("basis", self.basis_key())
+            return Element.basis(self.basis_key())
         # checked on the way down: a bracket adds a sum, a scaled term and itself
         self.nesting += 3
         if self.nesting > MAX_EXPRESSION_DEPTH:
@@ -235,7 +246,7 @@ class _Parser:
         self.expect("]")
         self.nesting -= 3
         self.height = max(height, self.height) + 1
-        return ("bracket", left, right)
+        return self.lie.mul(left, right)
 
     # -- omega literals ----------------------------------------------------
 
@@ -257,8 +268,8 @@ class _Parser:
         return Omega(table)
 
 
-def _parse_all(text: str, rule: str):
-    parser = _Parser(text)
+def _parse_all(text: str, rule: str, *products):
+    parser = _Parser(text, *products)
     result = getattr(parser, rule)()
     if parser.peek()[0] != "eof":
         parser.fail(f"unexpected trailing input {parser.peek()[1]!r}")
@@ -277,43 +288,14 @@ def parse_basis_key(text: str) -> BasisKey:
     return _parse_all(text, "basis_key")
 
 
-def parse_expression(text: str):
-    return _parse_all(text, "expression")
-
-
 def parse_omega(text: str) -> Omega:
     return _parse_all(text, "omega")
 
 
-def evaluate_expression(node, lie: LieProduct, ls_product=None) -> Element:
-    """Evaluate a parsed expression: '[x, y]' is the bracket ``lie``, and
-    'o' needs a left-symmetric product."""
-    tag = node[0]
-    if tag == "basis":
-        return Element.basis(node[1])
-    if tag == "scaled":
-        return evaluate_expression(node[2], lie, ls_product).scaled(node[1])
-    if tag == "sum":
-        out = Element.zero()
-        for negate, part in node[1]:
-            value = evaluate_expression(part, lie, ls_product)
-            out = out - value if negate else out + value
-        return out
-    if tag == "bracket":
-        return lie.mul(
-            evaluate_expression(node[1], lie, ls_product),
-            evaluate_expression(node[2], lie, ls_product),
-        )
-    if tag == "dot":
-        if ls_product is None:
-            raise ValueError(
-                "the 'o' product needs left-symmetric parameters (--epsilon)"
-            )
-        return ls_product.mul(
-            evaluate_expression(node[1], lie, ls_product),
-            evaluate_expression(node[2], lie, ls_product),
-        )
-    raise ValueError(f"unknown expression node {tag!r}")
+def evaluate_expression(text: str, lie: LieProduct, ls_product=None) -> Element:
+    """Evaluate an eval expression as it is read: '[x, y]' is the bracket
+    ``lie``, and 'o' needs a left-symmetric product."""
+    return _parse_all(text, "expression", lie, ls_product)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def accumulate(acc: dict, terms: dict, factor=None) -> None:
     """acc += factor * terms, in place, on dicts of nonzero exact numbers.
 
     ``factor`` defaults to one.  An entry whose sum is zero is removed, so
-    ``acc`` stays free of zeros.  Every sparse sum and elimination step of
-    the package but ``linalg.admitted_rows``'s single terms goes through here.
+    ``acc`` stays free of zeros.  Elements and elimination sum here; every
+    checker residual sums in ``linmaps.gaussian_sum``'s own ``[re, im]`` pairs.
     """
     get = acc.get
     for key, value in terms.items():

@@ -419,3 +419,38 @@ def test_demo_digest(name, digest):
         check=True,
     )
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# eval prints no header lines, so the whole stdout of the corpus is pinned:
+# brackets on both Lie products, nested brackets under Gaussian scalars and
+# signed sums, and 'o' products and chains with non-real parameters
+LS_FLAGS = ("--epsilon", "(1+i)", "--alpha", "1/2", "--beta", "(2/3-i)")
+LS_FLAGS_2 = ("--epsilon", "(2-i)", "--alpha", "(1/3+i)", "--beta", "(-2+1/2i)")
+EVAL_CORPUS = [
+    ("lie-hv", "[L(2), L(-2)]", ()),
+    ("lie-hv", "[L(3), I(-3)] - [I(2), I(-2)]", ()),
+    ("lie-hv", "[L(1), [L(1), I(-2)]] - 3*I(0)", ()),
+    ("lie-hv", "2i*I(1) + [I(3), I(-3)]", ()),
+    ("lie-hv", "(1/2-3i)*[L(-1), L(4)] - [I(1), L(-1)] + 2*C1 - i*[[L(2), L(-1)], L(-1)]", ()),
+    ("lie-w00", "[L(2), L(-2)]", ()),
+    ("lie-w00", "[L(1), [L(1), I(-2)]] - 3*I(0)", ()),
+    ("lie-w00", "(2+i)*[L(3), I(-3)] + 2i*I(1) + [I(3), I(-3)]", ()),
+    ("leftsym", "L(1) o L(1)", LS_FLAGS),
+    ("leftsym", "I(2) o L(-2)", LS_FLAGS),
+    ("leftsym", "L(1) o L(1) o L(-2)", LS_FLAGS),
+    ("leftsym", "L(2) o 3*I(-1) - [L(1), I(-1)] o (1-i)*L(-1)", LS_FLAGS_2),
+    ("leftsym", "L(-1) o I(2) + [L(2), L(-1)] o 2*L(-1) - i*I(1)", LS_FLAGS_2),
+    ("leftsym", "L(-1) + I(1) o L(2) - 1/2*I(0) o L(-1)", LS_FLAGS_2),
+    ("leftsym-quotient", "L(1) o L(1)", LS_FLAGS),
+    ("leftsym-quotient", "L(1) o L(1) o L(-2)", LS_FLAGS),
+    ("leftsym-quotient", "[L(2), L(-1)] o 1/2*L(-1) o (2-i)*I(0) - i*I(1)", LS_FLAGS_2),
+]
+EVAL_DIGEST = "fa318c3bef3a992255f39df964d9a68885ee079086cc8abef3325db0bcc18cd3"
+
+
+def test_eval_digest(capsys):
+    outputs = []
+    for product, expr, flags in EVAL_CORPUS:
+        assert main(["eval", expr, "--product", product, *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outputs).encode("utf-8")).hexdigest() == EVAL_DIGEST

@@ -19,7 +19,6 @@ from hvalgebra.parsing import (
     parse_basis_key,
     parse_bilinear_map_file,
     parse_element,
-    parse_expression,
     parse_linear_map_file,
     parse_omega,
     parse_scalar,
@@ -115,10 +114,11 @@ def test_a_hash_ends_the_input():
 def test_expression_depth_is_bounded():
     # an n-term 'o' chain is n - 1 products over a sum, a scaled term and
     # a basis symbol; each bracket adds a sum, a scaled term and itself
+    ls = LeftSymProduct(LeftSymParams(0, 0, Scalar(1, 1)))
     chain = " o ".join(["L(1)"] * (MAX_EXPRESSION_DEPTH - 2))
-    parse_expression(chain)
+    _eval(chain, ls_product=ls)
     with pytest.raises(ParseError, match="levels deep"):
-        parse_expression(chain + " o L(1)")
+        _eval(chain + " o L(1)", ls_product=ls)
     nest = (MAX_EXPRESSION_DEPTH - 3) // 3
     expected = Element.basis(I(1))
     for _ in range(nest):
@@ -127,11 +127,25 @@ def test_expression_depth_is_bounded():
     # one more is refused once read, two more while the parser descends
     for deeper in (nest + 1, nest + 2):
         with pytest.raises(ParseError, match="levels deep"):
-            parse_expression("[" * deeper + "L(0)" + ", L(1)]" * deeper)
+            _eval("[" * deeper + "L(0)" + ", L(1)]" * deeper)
+
+
+def test_an_over_long_chain_is_refused_before_it_is_multiplied_out():
+    class Counting(LeftSymProduct):
+        calls = 0
+
+        def mul(self, x, y):
+            Counting.calls += 1
+            return super().mul(x, y)
+
+    chain = " o ".join(["L(1)"] * (MAX_EXPRESSION_DEPTH - 1))
+    with pytest.raises(ParseError, match="levels deep"):
+        _eval(chain, ls_product=Counting(LeftSymParams(0, 0, Scalar(1, 1))))
+    assert Counting.calls <= MAX_EXPRESSION_DEPTH - 2
 
 
 def _eval(text, lie=LIE_HV, ls_product=None):
-    return evaluate_expression(parse_expression(text), lie, ls_product)
+    return evaluate_expression(text, lie, ls_product)
 
 
 def test_expression_evaluation():
@@ -140,8 +154,6 @@ def test_expression_evaluation():
     assert _eval("[L(1), [L(1), I(-2)]]") == Element({I(0): 2, C2: -4})
     assert _eval("3*[L(1), L(2)] - 2*L(3)") == Element({L(3): -5})
     assert _eval("2i*I(1) + [I(3), I(-3)]") == Element({I(1): Scalar(0, 2), C3: 3})
-    with pytest.raises(ValueError, match="unknown expression node 'bogus'"):
-        evaluate_expression(("bogus",), LIE_HV)
 
 
 def test_dot_product_expressions():
